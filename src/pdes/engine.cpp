@@ -153,11 +153,7 @@ void Engine::merge_lp_inbox(LpId dst_id, std::uint64_t* nulls) {
       if (nulls != nullptr) ++*nulls;
       return;
     }
-    for (const Event& ev : *bucket) {
-      Event copy = ev;
-      copy.seq = dst.next_seq++;
-      dst.queue.push(copy);
-    }
+    deliver(dst, *bucket);
   };
   if (channels_.empty()) {
     for (const Lp& src : lps_) {
@@ -171,6 +167,32 @@ void Engine::merge_lp_inbox(LpId dst_id, std::uint64_t* nulls) {
     for (const LpId s : channels_.in_neighbors(dst_id)) {
       drain(lps_[static_cast<std::size_t>(s)]);
     }
+  }
+}
+
+void Engine::deliver(Lp& dst, const std::vector<Event>& batch) {
+  for (const Event& ev : batch) {
+    Event copy = ev;
+    copy.seq = dst.next_seq++;
+    dst.queue.push(copy);
+  }
+}
+
+void Engine::merge_outboxes() {
+  // For any one destination this visits its sources in id order and each
+  // bucket in send order — exactly merge_lp_inbox's drain order — so every
+  // assigned seq is the one the destination-major merge assigns. The
+  // destination's in-neighbor list is not needed: schedule() already
+  // rejected sends along undeclared channels.
+  for (Lp& src : lps_) {
+    Outbox& out = src.outbox;
+    if (out.total() == 0) continue;
+    stats_.cross_lp_events += out.total();
+    stats_.merge_batches += out.batches();
+    out.for_each_batch([this](LpId dst, const std::vector<Event>& batch) {
+      deliver(lps_[static_cast<std::size_t>(dst)], batch);
+    });
+    out.clear();
   }
 }
 
@@ -285,12 +307,12 @@ bool Engine::open_window_boundary(SimTime floor) {
 }
 
 void Engine::probe_window(SimTime floor) {
-  // Called after the merge, before outboxes are cleared: window_events is
-  // still this window's tally, outbox sizes are still readable, and
-  // premerge_depth (recorded by merge_lp_inbox) is the backlog each LP
-  // carried out of its processing phase — the same quantity the probe
-  // reported when it ran before the merge, but available identically under
-  // both executors now that the merge itself is parallel.
+  // Called before outboxes are cleared — after the merge under the
+  // parallel executors, before it under the sequential one: window_events
+  // is still this window's tally, outbox sizes are still readable, and
+  // premerge_depth is the backlog each LP carried out of its processing
+  // phase (recorded by merge_lp_inbox, or by the sequential loop before
+  // its source-major merge), so rows match across executors.
   probe_->begin_window(stats_.num_windows, to_seconds(floor));
   for (std::size_t i = 0; i < lps_.size(); ++i) {
     probe_->record_lp(static_cast<std::int32_t>(i), lps_[i].window_events,
@@ -593,26 +615,23 @@ RunStats Engine::run_window_loop() {
   const LpId n = static_cast<LpId>(lps_.size());
   SimTime floor = next_event_floor();
   while (floor < opts_.end_time && floor != kSimTimeMax && !stop_requested()) {
-    if (probe_ == nullptr) {
-      if (!open_window_boundary(floor)) break;  // checkpoint-then-exit
-      for (LpId i = 0; i < n; ++i) process_lp_window(i);
-      for (LpId d = 0; d < n; ++d) merge_lp_inbox(d);
-      clear_outboxes();
-      account_window();
-    } else {
-      const auto t0 = Clock::now();
-      const bool go = open_window_boundary(floor);
-      const auto t1 = Clock::now();
-      if (!go) break;  // checkpoint-then-exit
-      for (LpId i = 0; i < n; ++i) process_lp_window(i);
-      const auto t2 = Clock::now();
-      for (LpId d = 0; d < n; ++d) merge_lp_inbox(d);
+    const bool timed = probe_ != nullptr;
+    const auto t0 = timed ? Clock::now() : Clock::time_point{};
+    const bool go = open_window_boundary(floor);
+    const auto t1 = timed ? Clock::now() : Clock::time_point{};
+    if (!go) break;  // checkpoint-then-exit
+    for (LpId i = 0; i < n; ++i) process_lp_window(i);
+    const auto t2 = timed ? Clock::now() : Clock::time_point{};
+    if (timed) {
+      // The merge below clears the outboxes, so the row is recorded first.
+      for (Lp& lp : lps_) lp.premerge_depth = lp.queue.size();
       probe_window(floor);
-      clear_outboxes();
-      account_window();
-      const auto t3 = Clock::now();
+    }
+    merge_outboxes();
+    account_window();
+    if (timed) {
       probe_->end_window(elapsed_s(t0, t1), elapsed_s(t1, t2),
-                         /*barrier_wait_s=*/0.0, elapsed_s(t2, t3));
+                         /*barrier_wait_s=*/0.0, elapsed_s(t2, Clock::now()));
     }
     floor = next_event_floor();
   }

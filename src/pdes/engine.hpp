@@ -280,19 +280,6 @@ class Engine {
   EngineHooks& hooks() { return hooks_; }
   const EngineHooks& hooks() const { return hooks_; }
 
-  /// DEPRECATED shim (one PR): append to hooks().barrier instead. Barrier
-  /// hooks run at every window boundary with the window start time,
-  /// outside of any handler, in registration order (stage 1 of the
-  /// EngineHooks contract).
-  void add_barrier_hook(std::function<void(Engine&, SimTime)> hook) {
-    hooks_.barrier.push_back(std::move(hook));
-  }
-
-  /// DEPRECATED shim (one PR): append to hooks().barrier instead.
-  void set_barrier_hook(std::function<void(Engine&, SimTime)> hook) {
-    add_barrier_hook(std::move(hook));
-  }
-
   /// Attaches a window telemetry probe (obs/probe.hpp): per window the
   /// engine records per-LP events, queue depths, outbox sizes, and real
   /// wall-clock per protocol phase. Null (the default) detaches; without a
@@ -304,19 +291,6 @@ class Engine {
   /// published as `pdes.*` counters/gauges when a run finishes (schema in
   /// DESIGN.md). Null (the default) publishes nothing.
   void set_registry(obs::Registry* registry) { registry_ = registry; }
-
-  /// DEPRECATED shim (one PR): set hooks().ckpt_every / hooks().ckpt
-  /// instead. The ckpt stage fires every `every_windows` completed windows
-  /// at the window boundary, after the barrier and rebalance stages (stage
-  /// 3 of the EngineHooks contract — the snapshot captures post-hook
-  /// state). The fn typically drives Participants::save + a file write and
-  /// may call request_stop() to end the run at this boundary (checkpoint-
-  /// then-exit). every_windows == 0 disarms.
-  void set_ckpt_hook(std::uint64_t every_windows,
-                     std::function<void(Engine&, SimTime)> fn) {
-    hooks_.ckpt_every = every_windows;
-    hooks_.ckpt = std::move(fn);
-  }
 
   /// Moves the pending events of LP `from` that satisfy `pred` to LP `to`:
   /// the matching events are extracted in (time, seq) order, serialized
@@ -378,8 +352,9 @@ class Engine {
     std::uint64_t window_events = 0;
     Outbox outbox;  // cross-LP sends buffered within a window, by dst
     /// Queue depth after processing, before the barrier merge — recorded
-    /// by whichever thread merges this LP's arrivals, read by the window
-    /// probe. Deterministic, so probe rows match across executors.
+    /// by whichever thread merges this LP's arrivals (by the sequential
+    /// loop when a probe is attached), read by the window probe.
+    /// Deterministic, so probe rows match across executors.
     std::uint64_t premerge_depth = 0;
   };
 
@@ -395,6 +370,15 @@ class Engine {
   /// Empties all outboxes after a merge and folds their sizes into the
   /// sched counters. Coordinator-only.
   void clear_outboxes();
+  /// The sequential executor's merge: one source-major pass that delivers
+  /// every non-empty bucket of every non-empty outbox (sources in id
+  /// order, events in send order), folds the outbox sizes into the sched
+  /// counters and clears the outboxes — merge_lp_inbox over all
+  /// destinations plus clear_outboxes, with the same seqs, at a cost
+  /// proportional to the traffic instead of to LPs squared.
+  void merge_outboxes();
+  /// Appends `batch` to `dst`'s queue with fresh arrival seqs, in order.
+  static void deliver(Lp& dst, const std::vector<Event>& batch);
   void account_window();
   void process_lp_window(LpId i);
   void run_barrier_hooks(SimTime floor);

@@ -15,13 +15,16 @@
 // the bit-exact event trace.
 //
 // Outbox replaces the former flat cross-LP send vector with per-(src,dst)
-// buffers: sends are appended to their destination's bucket in send order,
-// and the barrier merge drains, for each destination, the source LPs in id
-// order and each bucket in send order. For any destination that traversal
-// visits events in exactly the order the old src-major flat walk did, so
-// the seq values assigned at delivery — and therefore the event trace —
-// are unchanged, while the per-destination grouping lets worker threads
-// claim destinations and merge them concurrently.
+// buffers: sends are appended to their destination's bucket in send order.
+// Every merge delivers, for each destination, the source LPs in id order
+// and each bucket in send order — the sequential loop walks sources and
+// their non-empty buckets, the parallel executors walk destinations — so
+// the seq values assigned at delivery, and therefore the event trace, are
+// the same under every executor, while the per-destination grouping lets
+// worker threads claim destinations and merge them concurrently. A dense
+// per-destination index makes add() and find() O(1), and a list of this
+// window's non-empty buckets makes batches(), clear() and iteration cost
+// O(non-empty buckets) rather than O(destinations ever used).
 #pragma once
 
 #include <algorithm>
@@ -161,64 +164,73 @@ class Outbox {
   /// Buffers a cross-LP send (ev.lp is the destination) in send order
   /// within its destination's bucket.
   void add(const Event& ev) {
+    MASSF_DCHECK(ev.lp >= 0);
     ++total_;
-    for (Bucket& b : buckets_) {
-      if (b.dst == ev.lp) {
-        b.events.push_back(ev);
-        return;
-      }
+    const auto d = static_cast<std::size_t>(ev.lp);
+    if (d >= index_.size()) index_.resize(d + 1, kNoBucket);
+    std::uint32_t b = index_[d];
+    if (b == kNoBucket) {
+      b = static_cast<std::uint32_t>(buckets_.size());
+      index_[d] = b;
+      buckets_.emplace_back();
+      buckets_.back().dst = ev.lp;
     }
-    buckets_.emplace_back();
-    buckets_.back().dst = ev.lp;
-    buckets_.back().events.push_back(ev);
+    Bucket& bucket = buckets_[b];
+    if (bucket.events.empty()) live_.push_back(b);
+    bucket.events.push_back(ev);
   }
 
-  /// The buffered sends for `dst` in send order, or nullptr if none. The
-  /// bucket list is bounded by the source's out-degree, so the linear scan
-  /// stays short.
+  /// The buffered sends for `dst` in send order, or nullptr if none.
   const std::vector<Event>* find(LpId dst) const {
-    if (total_ == 0) return nullptr;
-    for (const Bucket& b : buckets_) {
-      if (b.dst == dst) return b.events.empty() ? nullptr : &b.events;
-    }
-    return nullptr;
+    const auto d = static_cast<std::size_t>(dst);
+    if (d >= index_.size() || index_[d] == kNoBucket) return nullptr;
+    const Bucket& b = buckets_[index_[d]];
+    return b.events.empty() ? nullptr : &b.events;
   }
 
   /// Destinations with at least one buffered send, sorted by LP id. The
   /// sharded executor walks this to frame per-(src,dst) ring batches in
-  /// the same deterministic order the barrier merge drains them.
+  /// the same deterministic order the merge drains them.
   std::vector<LpId> dsts() const {
     std::vector<LpId> out;
-    for (const Bucket& b : buckets_) {
-      if (!b.events.empty()) out.push_back(b.dst);
-    }
+    out.reserve(live_.size());
+    for (const std::uint32_t b : live_) out.push_back(buckets_[b].dst);
     std::sort(out.begin(), out.end());
     return out;
+  }
+
+  /// Calls fn(dst, events) for every non-empty bucket, in the order the
+  /// buckets first received a send this window. Each destination's seqs
+  /// depend only on the order of its own events, so callers delivering
+  /// one source at a time need no sorted destination order.
+  template <class Fn>
+  void for_each_batch(Fn&& fn) const {
+    for (const std::uint32_t b : live_) fn(buckets_[b].dst, buckets_[b].events);
   }
 
   /// Buffered events this window (all destinations).
   std::size_t total() const { return total_; }
 
   /// Non-empty (src,dst) buffers this window.
-  std::size_t batches() const {
-    std::size_t n = 0;
-    for (const Bucket& b : buckets_) n += b.events.empty() ? 0 : 1;
-    return n;
-  }
+  std::size_t batches() const { return live_.size(); }
 
   /// Empties the buckets but keeps their capacity (and the bucket list
-  /// itself) for the next window.
+  /// and index themselves) for the next window.
   void clear() {
-    for (Bucket& b : buckets_) b.events.clear();
+    for (const std::uint32_t b : live_) buckets_[b].events.clear();
+    live_.clear();
     total_ = 0;
   }
 
  private:
+  static constexpr std::uint32_t kNoBucket = ~std::uint32_t{0};
   struct Bucket {
     LpId dst = kInvalidLp;
     std::vector<Event> events;
   };
-  std::vector<Bucket> buckets_;
+  std::vector<Bucket> buckets_;       // in order of first use, ever
+  std::vector<std::uint32_t> index_;  // dst -> bucket, kNoBucket if unused
+  std::vector<std::uint32_t> live_;   // non-empty buckets this window
   std::size_t total_ = 0;
 };
 

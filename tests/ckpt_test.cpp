@@ -425,14 +425,14 @@ TEST_P(CkptFuzz, RestoredRunMatchesUninterrupted) {
   FuzzStack cut(seed);
   ckpt::Participants cut_parts = cut.participants();
   std::vector<std::uint8_t> image;
-  cut.engine->set_ckpt_hook(
-      ckpt_window, [&cut_parts, &image](Engine& eng, SimTime) {
-        if (!image.empty()) return;  // keep the first snapshot only
-        ckpt::Checkpoint ck;
-        cut_parts.save(ck);
-        image = ck.serialize();
-        eng.request_stop();
-      });
+  cut.engine->hooks().ckpt_every = ckpt_window;
+  cut.engine->hooks().ckpt = [&cut_parts, &image](Engine& eng, SimTime) {
+    if (!image.empty()) return;  // keep the first snapshot only
+    ckpt::Checkpoint ck;
+    cut_parts.save(ck);
+    image = ck.serialize();
+    eng.request_stop();
+  };
   cut.run(cut.sc.ckpt_threads);
   ASSERT_FALSE(image.empty())
       << "seed=" << seed << ": run ended before window " << ckpt_window;
@@ -549,14 +549,14 @@ TEST_P(CkptGolden, RestoreAtHalfwayReproducesPinnedChecksum) {
   GoldenStack cut;
   ckpt::Participants cut_parts = cut.participants();
   std::vector<std::uint8_t> image;
-  cut.engine->set_ckpt_hook(1000,
-                            [&cut_parts, &image](Engine& eng, SimTime) {
-                              if (!image.empty()) return;
-                              ckpt::Checkpoint ck;
-                              cut_parts.save(ck);
-                              image = ck.serialize();
-                              eng.request_stop();
-                            });
+  cut.engine->hooks().ckpt_every = 1000;
+  cut.engine->hooks().ckpt = [&cut_parts, &image](Engine& eng, SimTime) {
+    if (!image.empty()) return;
+    ckpt::Checkpoint ck;
+    cut_parts.save(ck);
+    image = ck.serialize();
+    eng.request_stop();
+  };
   const RunStats cut_stats = threads > 0
                                  ? cut.engine->run_threaded(threads)
                                  : cut.engine->run();

@@ -350,12 +350,13 @@ TEST(GuardedRun, RecoversFrozenChannelRunToGoldenChecksum) {
         return {guard::AttemptStatus::kFailed, "checkpoint restore: " + error};
       }
     }
-    eng->set_ckpt_hook(500, [&parts, &ckpt_path](Engine&, SimTime) {
+    eng->hooks().ckpt_every = 500;
+    eng->hooks().ckpt = [&parts, &ckpt_path](Engine&, SimTime) {
       ckpt::Checkpoint ck;
       parts.save(ck);
       std::string error;
       ASSERT_TRUE(ck.write_file(ckpt_path, &error)) << error;
-    });
+    };
     if (plan.sync == SyncMode::kChannel) {
       // The stall injection only exists on the channel-clock protocol; the
       // barrier fallback runs clean — exactly the degradation contract.

@@ -402,21 +402,5 @@ TEST(LinkModelCkpt, KindMarkerRejectsCrossModelRestore) {
   EXPECT_FALSE(hybrid.sim->load(r));
 }
 
-// ---- one-PR deprecation shims ----------------------------------------------
-
-TEST(LinkModelShims, DeprecatedNetSimCallsDelegateToModel) {
-  Fixture f({0, 0, 0, 0}, packet_opts());
-  // Accessors return the model's own state.
-  EXPECT_EQ(&f.sim->link_bytes(), &f.sim->link_model().link_bytes());
-  // Control-plane shims reach the model: a downed access link drops.
-  f.sim->schedule_link_state(*f.engine, 3, microseconds(1), false);
-  f.sim->schedule_loss_state(*f.engine, 0, microseconds(1), 0.0);
-  f.sim->start_flow(*f.engine, milliseconds(5), f.host(0), f.host(3), 10000,
-                    0);
-  f.engine->run();
-  EXPECT_GT(f.sim->totals().dropped_link_down, 0u);
-  EXPECT_EQ(f.sim->link_utilization(3, 0, seconds(1)), 0.0);
-}
-
 }  // namespace
 }  // namespace massf

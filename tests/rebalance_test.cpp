@@ -248,25 +248,6 @@ TEST(EngineHooks, FiringOrderBarrierRebalanceCkpt) {
   }
 }
 
-TEST(EngineHooks, DeprecatedShimsComposeWithHooksStruct) {
-  TickRig rig(/*windows=*/3);
-  std::string order;
-  // Old-style registration must land in the same struct and fire in the
-  // documented stages alongside direct hooks() use.
-  rig.engine->set_barrier_hook(
-      [&order](Engine&, SimTime) { order += 'x'; });
-  rig.engine->add_barrier_hook(
-      [&order](Engine&, SimTime) { order += 'y'; });
-  rig.engine->set_ckpt_hook(1,
-                            [&order](Engine&, SimTime) { order += 'c'; });
-  EXPECT_EQ(rig.engine->hooks().barrier.size(), 2u);
-  EXPECT_EQ(rig.engine->hooks().ckpt_every, 1u);
-  rig.engine->run();
-  // Boundaries w=0 (ckpt skips w==0), w=1, w=2 — shims fire through the
-  // same staged path as direct hooks() registration.
-  EXPECT_EQ(order, "xyxycxyc");
-}
-
 // ---- controller behavior on an imbalance ramp -------------------------------
 
 /// Miniature of the bench topology: a ring of `pods` gateways (hosts
