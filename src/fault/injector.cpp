@@ -140,6 +140,11 @@ void FaultInjector::publish_metrics(obs::Registry& registry) const {
   registry.counter("massf.fault.app_timers_dropped")
       .inc(totals.app_timers_dropped);
 
+  const ForwardingPlane::ReconvergeStats& spf = fp_->reconverge_stats();
+  registry.counter("massf.fault.ospf_trees_updated").inc(spf.trees_updated);
+  registry.counter("massf.fault.ospf_routers_resettled")
+      .inc(spf.routers_resettled);
+
   obs::Histogram& ospf =
       registry.histogram("massf.fault.ospf_reconverge_s", kReconvergeBounds);
   for (const double s : ospf_reconverge_s_) ospf.observe(s);

@@ -78,8 +78,9 @@ class FaultInjector {
   }
 
   /// Publishes the `massf.fault.*` metrics (schema massf.fault.v1):
-  /// injection counters per kind, packets blackholed, flows abandoned, and
-  /// the reconvergence histograms. Reads drop totals from the NetSim the
+  /// injection counters per kind, packets blackholed, flows abandoned, the
+  /// OSPF update work (trees updated, routers re-settled) and the
+  /// reconvergence histograms. Reads drop totals from the NetSim the
   /// injector was armed with.
   void publish_metrics(obs::Registry& registry) const;
 

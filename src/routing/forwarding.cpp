@@ -26,7 +26,8 @@ NodeId ForwardingPlane::dest_router(NodeId dest) const {
 }
 
 ForwardingPlane ForwardingPlane::build_flat(
-    const Network& net, std::span<const NodeId> dest_routers) {
+    const Network& net, std::span<const NodeId> dest_routers,
+    std::span<const LinkId> down) {
   ForwardingPlane fp(net);
   std::vector<NodeId> all(static_cast<std::size_t>(net.num_routers));
   for (NodeId r = 0; r < net.num_routers; ++r) {
@@ -36,13 +37,15 @@ ForwardingPlane ForwardingPlane::build_flat(
   // thousands of routers; keeping distances would multiply table memory.
   fp.flat_.emplace(net, all, /*use_inter_as_links=*/true,
                    /*keep_distances=*/false);
+  // With no table registered yet, exclusions apply at once.
+  for (const LinkId l : down) fp.set_link_state(l, false);
   for (NodeId d : dest_routers) fp.register_destination(d);
   return fp;
 }
 
 ForwardingPlane ForwardingPlane::build_multi_as(
     const Network& net, std::span<const NodeId> dest_routers,
-    const Options& opts) {
+    const Options& opts, std::span<const LinkId> down) {
   MASSF_CHECK(!net.as_info.empty());
   ForwardingPlane fp(net);
   fp.opts_ = opts;
@@ -56,6 +59,8 @@ ForwardingPlane ForwardingPlane::build_multi_as(
     }
     fp.domains_.emplace_back(net, members, /*use_inter_as_links=*/false);
   }
+
+  for (const LinkId l : down) fp.set_link_state(l, false);
 
   fp.bgp_.emplace(net.num_as(), net.as_adjacency);
   fp.bgp_->solve();
@@ -148,12 +153,17 @@ void ForwardingPlane::set_link_state(LinkId link, bool up) {
 }
 
 void ForwardingPlane::reconverge() {
+  ++stats_.reconverges;
+  const auto count = [this](const OspfDomain::UpdateStats& s) {
+    stats_.trees_updated += s.trees_updated;
+    stats_.routers_resettled += s.routers_resettled;
+  };
   if (flat_) {
-    flat_->recompute(*net_);
+    count(flat_->recompute(*net_));
     return;
   }
   select_egress();
-  for (OspfDomain& d : domains_) d.recompute(*net_);
+  for (OspfDomain& d : domains_) count(d.recompute(*net_));
 }
 
 void ForwardingPlane::register_destination(NodeId dest) {
@@ -246,6 +256,9 @@ void ForwardingPlane::save(ckpt::Writer& w) const {
   std::sort(down.begin(), down.end());
   w.u64(down.size());
   for (const LinkId l : down) w.i32(l);
+  w.u64(stats_.reconverges);
+  w.u64(stats_.trees_updated);
+  w.u64(stats_.routers_resettled);
 }
 
 bool ForwardingPlane::load(ckpt::Reader& r) {
@@ -257,9 +270,16 @@ bool ForwardingPlane::load(ckpt::Reader& r) {
     if (l < 0 || static_cast<std::size_t>(l) >= net_->links.size())
       return false;
   }
+  ReconvergeStats saved;
+  saved.reconverges = r.u64();
+  saved.trees_updated = r.u64();
+  saved.routers_resettled = r.u64();
   if (!r.ok()) return false;
   const std::unordered_set<LinkId> want(down.begin(), down.end());
-  if (want == down_links_) return true;  // tables already match
+  if (want == down_links_) {  // tables already match
+    stats_ = saved;
+    return true;
+  }
   // Replay the delta, then one SPF pass: the tables and egress choices are
   // pure functions of (topology, down-set), so this reproduces the
   // interrupted run's forwarding state exactly.
@@ -269,6 +289,7 @@ bool ForwardingPlane::load(ckpt::Reader& r) {
   for (const LinkId l : down)
     if (down_links_.find(l) == down_links_.end()) set_link_state(l, false);
   reconverge();
+  stats_ = saved;  // the replay is restore work, not the run's
   return true;
 }
 

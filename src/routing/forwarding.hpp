@@ -37,14 +37,18 @@ class ForwardingPlane {
 
   /// Flat network: OSPF shortest path everywhere. `dest_routers` are the
   /// routers that will terminate traffic (attachment points of active
-  /// hosts); only those get routing tables.
+  /// hosts); only those get routing tables. Links in `down` start failed:
+  /// the tables are built from scratch under that down-set.
   static ForwardingPlane build_flat(const Network& net,
-                                    std::span<const NodeId> dest_routers);
+                                    std::span<const NodeId> dest_routers,
+                                    std::span<const LinkId> down = {});
 
-  /// Multi-AS network with BGP inter-domain routing.
+  /// Multi-AS network with BGP inter-domain routing; `down` as for
+  /// build_flat.
   static ForwardingPlane build_multi_as(const Network& net,
                                         std::span<const NodeId> dest_routers,
-                                        const Options& opts);
+                                        const Options& opts,
+                                        std::span<const LinkId> down = {});
   static ForwardingPlane build_multi_as(const Network& net,
                                         std::span<const NodeId> dest_routers) {
     return build_multi_as(net, dest_routers, Options{});
@@ -76,15 +80,28 @@ class ForwardingPlane {
   /// — mutate only at a window barrier.
   void set_link_state(LinkId link, bool up);
 
-  /// Recomputes every routing table under the current link states (the
-  /// SPF run after the flooding delay). Mutate-at-barrier only.
+  /// Brings every routing table up to date with the link states (the SPF
+  /// run after the flooding delay). OSPF trees are updated incrementally,
+  /// only where a changed link can move them; the result equals a fresh
+  /// build under the same down-set. Mutate-at-barrier only.
   void reconverge();
 
-  /// Checkpoint hooks (ckpt/ckpt.hpp): only the failed-link set is
-  /// serialized. Restore replays it through set_link_state + reconverge,
-  /// which rebuilds every OSPF table and egress selection — the tables are
-  /// pure functions of (topology, down-set), so replay reproduces them
-  /// exactly without serializing them wholesale.
+  /// Work reconverge() has done so far: calls, (tree, changed link) pairs
+  /// that needed an update, and routers settled again in those trees.
+  struct ReconvergeStats {
+    std::uint64_t reconverges = 0;
+    std::uint64_t trees_updated = 0;
+    std::uint64_t routers_resettled = 0;
+  };
+  const ReconvergeStats& reconverge_stats() const { return stats_; }
+
+  /// Checkpoint hooks (ckpt/ckpt.hpp): the failed-link set and
+  /// reconverge_stats() are serialized, not the tables. Restore replays
+  /// the down-set through set_link_state + reconverge, which brings every
+  /// OSPF table and egress selection up to date — the tables are pure
+  /// functions of (topology, down-set), so replay reproduces them exactly
+  /// — then sets the stats back to the saved ones, so a resumed run
+  /// reports the totals of an uninterrupted one.
   void save(ckpt::Writer& writer) const;
   bool load(ckpt::Reader& reader);
 
@@ -108,6 +125,7 @@ class ForwardingPlane {
   std::vector<LinkId> default_egress_;                    // per AS, stubs only
   Options opts_;
   std::unordered_set<LinkId> down_links_;
+  ReconvergeStats stats_;
 };
 
 }  // namespace massf

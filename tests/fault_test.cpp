@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -296,6 +297,46 @@ TEST(FaultInjector, RouterCrashBlackholesAndOspfReconverges) {
     EXPECT_GE(sec, 0.2);
     EXPECT_LT(sec, 1.5);
   }
+}
+
+// Runs `schedule` on the diamond with one flow spanning it (so windows,
+// and with them the reconvergence barriers, keep coming) and returns the
+// published OSPF work counters (trees updated, routers re-settled).
+std::pair<std::uint64_t, std::uint64_t> diamond_ospf_work(
+    const FaultSchedule& schedule) {
+  Network net = diamond();
+  ForwardingPlane fp = ForwardingPlane::build_flat(net, {{0, 3}});
+  EngineOptions eo;
+  eo.lookahead = milliseconds(1);
+  eo.end_time = seconds(30);
+  Engine engine(eo);
+  NetSim sim(net, fp, std::vector<LpId>{0, 0, 0, 0}, engine, NetSimOptions{});
+  FaultInjector injector(net, fp);
+  injector.arm(engine, sim, schedule);
+  sim.start_flow(engine, milliseconds(1), 4, 5, 20000000, 1);
+  engine.run();
+  obs::Registry registry;
+  injector.publish_metrics(registry);
+  return {registry.counter("massf.fault.ospf_trees_updated").value(),
+          registry.counter("massf.fault.ospf_routers_resettled").value()};
+}
+
+TEST(FaultInjector, OspfWorkCountersExplainReconvergence) {
+  // Flap r0-r1 (link 0). Both trees (toward r0 and toward r3) route over
+  // it, so the down and the up each update both: 4 tree updates. Down:
+  // toward r0 the subtree below the link is {r1, r3}, toward r3 it is
+  // {r0}; up: the same routers improve again. 6 routers re-settled.
+  FaultSchedule flap;
+  flap.link_down(milliseconds(50), 0).link_up(seconds(2), 0);
+  const auto [trees, routers] = diamond_ospf_work(flap);
+  EXPECT_EQ(trees, 4u);
+  EXPECT_EQ(routers, 6u);
+
+  // Host access link h4-r0 (link 4): no routing choice, no OSPF work.
+  FaultSchedule access;
+  access.link_down(milliseconds(50), 4).link_up(seconds(2), 4);
+  EXPECT_EQ(diamond_ospf_work(access), std::make_pair(std::uint64_t{0},
+                                                      std::uint64_t{0}));
 }
 
 TEST(FaultInjector, BgpResetReconvergenceMeasured) {

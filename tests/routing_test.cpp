@@ -2,12 +2,16 @@
 
 #include <numeric>
 #include <queue>
+#include <random>
+#include <set>
+#include <utility>
 
 #include "routing/bgp.hpp"
 #include "routing/forwarding.hpp"
 #include "routing/ospf.hpp"
 #include "topology/brite.hpp"
 #include "topology/mabrite.hpp"
+#include "util/error.hpp"
 
 namespace massf {
 namespace {
@@ -198,6 +202,442 @@ TEST(Ospf, ExclusionCanDisconnect) {
   ospf.recompute(net);
   EXPECT_EQ(ospf.next_link(0, 3), kInvalidLink);
   EXPECT_EQ(ospf.distance(0, 3), -1);
+}
+
+TEST(Ospf, NonPositiveLatencyIsAConfigError) {
+  // Programmatic networks skip Network::validate; the domain itself must
+  // refuse arcs that would break shortest-path trees.
+  Network net = line_network();
+  net.links[1].latency = 0;
+  std::vector<NodeId> members{0, 1, 2, 3};
+  try {
+    OspfDomain ospf(net, members, true);
+    FAIL() << "zero-latency link accepted";
+  } catch (const EngineError& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kConfig);
+  }
+  net.links[1].latency = -milliseconds(1);
+  EXPECT_THROW(OspfDomain(net, members, true), EngineError);
+  // A non-member link may have any latency: only domain arcs matter.
+  net.links[1].latency = milliseconds(2);
+  net.links[3].latency = 0;  // host access link, not a domain arc
+  EXPECT_NO_THROW(OspfDomain(net, members, true));
+}
+
+TEST(Ospf, ExcludingUnknownLinkIsAConfigError) {
+  const Network net = line_network();
+  std::vector<NodeId> members{0, 1, 2, 3};
+  OspfDomain ospf(net, members, true);
+  for (const LinkId bad :
+       {LinkId{-1}, static_cast<LinkId>(net.links.size())}) {
+    try {
+      ospf.set_link_excluded(bad, true);
+      FAIL() << "link " << bad << " accepted";
+    } catch (const EngineError& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kConfig);
+    }
+  }
+}
+
+// ---- Incremental reconvergence: differential against fresh builds ------
+
+TEST(OspfIncremental, UnaffectedTreesAndToggledBackLinksDoNoWork) {
+  // Triangle: 0-1 direct 10ms (link 0), 0-2 1ms (link 1), 2-1 1ms (link 2).
+  Network net;
+  for (int i = 0; i < 3; ++i) {
+    NetNode r;
+    r.kind = NodeKind::kRouter;
+    net.nodes.push_back(r);
+  }
+  net.num_routers = 3;
+  const auto link = [&](NodeId a, NodeId b, SimTime lat) {
+    NetLink l;
+    l.a = a;
+    l.b = b;
+    l.latency = lat;
+    l.bandwidth_bps = 1e9;
+    net.links.push_back(l);
+  };
+  link(0, 1, milliseconds(10));
+  link(0, 2, milliseconds(1));
+  link(2, 1, milliseconds(1));
+  net.build_adjacency();
+  std::vector<NodeId> members{0, 1, 2};
+  OspfDomain ospf(net, members, true);
+  ospf.add_destination(net, 1);
+  ospf.add_destination(net, 0);
+
+  // Down and up again before the recompute: nothing to update.
+  ospf.set_link_excluded(1, true);
+  ospf.set_link_excluded(1, false);
+  EXPECT_EQ(ospf.recompute(net).trees_updated, 0u);
+  // The 10ms link is on no tree, and restoring it improves none.
+  ospf.set_link_excluded(0, true);
+  EXPECT_EQ(ospf.recompute(net).trees_updated, 0u);
+  ospf.set_link_excluded(0, false);
+  EXPECT_EQ(ospf.recompute(net).trees_updated, 0u);
+  // 0-2 carries r0 toward r1 (subtree {r0}) and r2 toward r0 (subtree
+  // {r2, r1}).
+  ospf.set_link_excluded(1, true);
+  const OspfDomain::UpdateStats down = ospf.recompute(net);
+  EXPECT_EQ(down.trees_updated, 2u);
+  EXPECT_EQ(down.routers_resettled, 3u);
+  EXPECT_EQ(ospf.next_link(0, 1), 0);
+  EXPECT_EQ(ospf.distance(0, 1), milliseconds(10));
+  EXPECT_EQ(ospf.distance(2, 0), milliseconds(11));
+}
+
+// Rounds every router-router latency to 1, 2 or 3 ms so equal-cost paths,
+// and with them the lowest-link-id tie-break, are common.
+void quantize_latencies(Network& net) {
+  for (NetLink& l : net.links) {
+    if (net.is_router(l.a) && net.is_router(l.b)) {
+      l.latency = milliseconds(1 + l.latency % 3);
+    }
+  }
+}
+
+using Batch = std::vector<std::pair<LinkId, bool>>;  // (link, up)
+
+std::vector<LinkId> router_links_of(const Network& net, NodeId r,
+                                    const std::vector<LinkId>& candidates) {
+  std::vector<LinkId> out;
+  for (const auto& inc : net.incident(r)) {
+    if (std::find(candidates.begin(), candidates.end(), inc.link) !=
+        candidates.end()) {
+      out.push_back(inc.link);
+    }
+  }
+  return out;
+}
+
+// A change script over `candidates`: the links of destination `dest` one at
+// a time, a batch that cuts `cut` off entirely and one that restores it, a
+// link toggled back within a batch, then `random` seeded batches of one to
+// three changes (restores once several links are down).
+std::vector<Batch> change_script(const Network& net,
+                                 const std::vector<LinkId>& candidates,
+                                 NodeId dest, NodeId cut, std::uint64_t seed,
+                                 int random) {
+  std::vector<Batch> script;
+  const std::vector<LinkId> at_dest = router_links_of(net, dest, candidates);
+  for (const LinkId l : at_dest) script.push_back({{l, false}});
+  Batch restore;
+  for (const LinkId l : at_dest) restore.push_back({l, true});
+  script.push_back(restore);
+
+  const std::vector<LinkId> at_cut = router_links_of(net, cut, candidates);
+  Batch isolate, rejoin;
+  for (const LinkId l : at_cut) {
+    isolate.push_back({l, false});
+    rejoin.push_back({l, true});
+  }
+  script.push_back(isolate);
+  script.push_back(rejoin);
+
+  script.push_back({{at_dest[0], false}, {at_dest[0], true}});
+  script.push_back({{at_cut[0], false}, {at_dest[0], false},
+                    {at_cut[0], true}});
+  script.push_back({{at_dest[0], true}});
+
+  std::mt19937_64 rng(seed);
+  std::set<LinkId> down;
+  for (int i = 0; i < random; ++i) {
+    Batch b;
+    const int size = 1 + static_cast<int>(rng() % 3);
+    for (int k = 0; k < size; ++k) {
+      LinkId l;
+      if (down.size() >= 6) {
+        auto it = down.begin();
+        std::advance(it, static_cast<long>(rng() % down.size()));
+        l = *it;
+      } else {
+        l = candidates[rng() % candidates.size()];
+      }
+      const bool up = down.count(l) > 0;
+      b.push_back({l, up});
+      if (up) {
+        down.erase(l);
+      } else {
+        down.insert(l);
+      }
+      if (rng() % 8 == 0) {  // toggled back within the batch
+        b.push_back({l, !up});
+        if (up) {
+          down.insert(l);
+        } else {
+          down.erase(l);
+        }
+      }
+    }
+    script.push_back(b);
+  }
+  return script;
+}
+
+// Applies each batch through `set_state(link, up)`, then calls
+// `check(down_set)` (which reconverges and compares).
+template <class SetState, class Check>
+void replay(const std::vector<Batch>& script, SetState set_state,
+            Check check) {
+  std::set<LinkId> down;
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    for (const auto& [l, up] : script[i]) {
+      set_state(l, up);
+      if (up) {
+        down.erase(l);
+      } else {
+        down.insert(l);
+      }
+    }
+    SCOPED_TRACE("batch " + std::to_string(i));
+    check(std::vector<LinkId>(down.begin(), down.end()));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// The router with the fewest (but at least two) candidate links that is not
+// in `avoid`.
+NodeId cut_candidate(const Network& net, const std::vector<NodeId>& routers,
+                     const std::vector<LinkId>& candidates,
+                     const std::vector<NodeId>& avoid) {
+  NodeId best = kInvalidNode;
+  std::size_t best_deg = 0;
+  for (const NodeId r : routers) {
+    if (std::find(avoid.begin(), avoid.end(), r) != avoid.end()) continue;
+    const std::size_t deg = router_links_of(net, r, candidates).size();
+    if (deg >= 2 && (best == kInvalidNode || deg < best_deg)) {
+      best = r;
+      best_deg = deg;
+    }
+  }
+  return best;
+}
+
+// Domain-level differential: every next_link (and distance, when kept)
+// after each recompute() equals a domain built from scratch with the same
+// exclusions.
+void expect_domain_tracks_fresh_builds(const Network& net,
+                                       const std::vector<NodeId>& members,
+                                       bool use_inter_as_links, bool keep,
+                                       std::uint64_t seed) {
+  std::vector<LinkId> candidates;
+  for (LinkId l = 0; l < static_cast<LinkId>(net.links.size()); ++l) {
+    const NetLink& link = net.links[static_cast<std::size_t>(l)];
+    const bool in_a = std::find(members.begin(), members.end(), link.a) !=
+                      members.end();
+    const bool in_b = std::find(members.begin(), members.end(), link.b) !=
+                      members.end();
+    if (in_a && in_b && (use_inter_as_links || !link.inter_as)) {
+      candidates.push_back(l);
+    }
+  }
+  std::vector<NodeId> dests;
+  for (std::size_t i = 0; i < members.size(); i += 7) {
+    dests.push_back(members[i]);
+  }
+  NodeId dest = kInvalidNode;
+  for (const NodeId d : dests) {
+    if (router_links_of(net, d, candidates).size() >= 2) {
+      dest = d;
+      break;
+    }
+  }
+  ASSERT_NE(dest, kInvalidNode);
+  const NodeId cut = cut_candidate(net, members, candidates, dests);
+  ASSERT_NE(cut, kInvalidNode);
+
+  const std::vector<LinkId> cut_links = router_links_of(net, cut, candidates);
+
+  OspfDomain ospf(net, members, use_inter_as_links, keep);
+  for (const NodeId d : dests) ospf.add_destination(net, d);
+  std::uint64_t trees = 0;
+  int isolations = 0;
+  replay(
+      change_script(net, candidates, dest, cut, seed, 60),
+      [&](LinkId l, bool up) { ospf.set_link_excluded(l, !up); },
+      [&](const std::vector<LinkId>& down) {
+        trees += ospf.recompute(net).trees_updated;
+        OspfDomain fresh(net, members, use_inter_as_links, keep);
+        for (const LinkId l : down) fresh.set_link_excluded(l, true);
+        for (const NodeId d : dests) fresh.add_destination(net, d);
+        for (const NodeId d : dests) {
+          for (const NodeId m : members) {
+            ASSERT_EQ(ospf.next_link(m, d), fresh.next_link(m, d))
+                << "router " << m << " toward " << d;
+            if (keep) {
+              ASSERT_EQ(ospf.distance(m, d), fresh.distance(m, d))
+                  << "router " << m << " toward " << d;
+            }
+          }
+        }
+        const bool isolated = std::all_of(
+            cut_links.begin(), cut_links.end(), [&](LinkId l) {
+              return std::count(down.begin(), down.end(), l) > 0;
+            });
+        if (isolated) {
+          ++isolations;
+          for (const NodeId d : dests) {
+            EXPECT_EQ(ospf.next_link(cut, d), kInvalidLink);
+          }
+        }
+      });
+  EXPECT_GT(trees, 0u);
+  EXPECT_GT(isolations, 0) << "the script must cut a router off";
+}
+
+std::vector<NodeId> all_routers(const Network& net) {
+  std::vector<NodeId> members(static_cast<std::size_t>(net.num_routers));
+  std::iota(members.begin(), members.end(), NodeId{0});
+  return members;
+}
+
+Network brite300(bool quantized) {
+  BriteOptions o;
+  o.num_routers = 300;
+  o.num_hosts = 30;
+  o.seed = 15;
+  Network net = generate_flat(o);
+  if (quantized) quantize_latencies(net);
+  return net;
+}
+
+Network mabrite_small(bool quantized) {
+  MaBriteOptions o;
+  o.num_as = 12;
+  o.routers_per_as = 12;
+  o.num_hosts = 60;
+  o.seed = 21;
+  Network net = generate_multi_as(o);
+  if (quantized) quantize_latencies(net);
+  return net;
+}
+
+TEST(OspfIncremental, FlatBriteWithoutDistancesMatchesFreshBuilds) {
+  for (const bool quantized : {false, true}) {
+    SCOPED_TRACE(quantized ? "quantized latencies" : "BRITE latencies");
+    const Network net = brite300(quantized);
+    expect_domain_tracks_fresh_builds(net, all_routers(net), true,
+                                      /*keep=*/false, 101);
+  }
+}
+
+TEST(OspfIncremental, FlatBriteWithDistancesMatchesFreshBuilds) {
+  for (const bool quantized : {false, true}) {
+    SCOPED_TRACE(quantized ? "quantized latencies" : "BRITE latencies");
+    const Network net = brite300(quantized);
+    expect_domain_tracks_fresh_builds(net, all_routers(net), true,
+                                      /*keep=*/true, 202);
+  }
+}
+
+TEST(OspfIncremental, AsDomainWithDistancesMatchesFreshBuilds) {
+  for (const bool quantized : {false, true}) {
+    SCOPED_TRACE(quantized ? "quantized latencies" : "maBrite latencies");
+    const Network net = mabrite_small(quantized);
+    const AsInfo& info = net.as_info[0];
+    std::vector<NodeId> members(static_cast<std::size_t>(info.num_routers));
+    std::iota(members.begin(), members.end(), info.first_router);
+    expect_domain_tracks_fresh_builds(net, members, false, /*keep=*/true,
+                                      303);
+  }
+}
+
+// Plane-level differential: every (router, destination) next_link after
+// each reconverge() equals a plane built from scratch under the down-set.
+template <class Build>
+void expect_plane_tracks_fresh_builds(const Network& net, Build build,
+                                      std::uint64_t seed) {
+  std::vector<NodeId> dests;
+  for (NodeId h = net.num_routers; h < static_cast<NodeId>(net.nodes.size());
+       ++h) {
+    dests.push_back(net.nodes[static_cast<std::size_t>(h)].attach_router);
+  }
+  std::vector<LinkId> candidates;
+  for (LinkId l = 0; l < static_cast<LinkId>(net.links.size()); ++l) {
+    const NetLink& link = net.links[static_cast<std::size_t>(l)];
+    if (net.is_router(link.a) && net.is_router(link.b)) {
+      candidates.push_back(l);
+    }
+  }
+  NodeId dest = kInvalidNode;
+  for (const NodeId d : dests) {
+    if (router_links_of(net, d, candidates).size() >= 2) {
+      dest = d;
+      break;
+    }
+  }
+  ASSERT_NE(dest, kInvalidNode);
+  const NodeId cut =
+      cut_candidate(net, all_routers(net), candidates, dests);
+  ASSERT_NE(cut, kInvalidNode);
+  std::vector<Batch> script =
+      change_script(net, candidates, dest, cut, seed, 50);
+  if (!net.as_adjacency.empty()) {
+    // Every border link of one AS pair down, then back one by one.
+    const AsAdjacency& pair = net.as_adjacency.front();
+    Batch all_down;
+    std::vector<Batch> back;
+    for (const AsAdjacency& adj : net.as_adjacency) {
+      if ((adj.as_a == pair.as_a && adj.as_b == pair.as_b) ||
+          (adj.as_a == pair.as_b && adj.as_b == pair.as_a)) {
+        all_down.push_back({adj.link, false});
+        back.push_back({{adj.link, true}});
+      }
+    }
+    script.push_back(all_down);
+    script.insert(script.end(), back.begin(), back.end());
+  }
+
+  ForwardingPlane fp = build(dests, std::span<const LinkId>{});
+  std::uint64_t reconverges = 0;
+  replay(
+      script, [&](LinkId l, bool up) { fp.set_link_state(l, up); },
+      [&](const std::vector<LinkId>& down) {
+        fp.reconverge();
+        ++reconverges;
+        const ForwardingPlane fresh = build(dests, down);
+        for (NodeId r = 0; r < net.num_routers; ++r) {
+          for (const NodeId d : dests) {
+            ASSERT_EQ(fp.next_link(r, d), fresh.next_link(r, d))
+                << "router " << r << " toward " << d;
+          }
+          for (NodeId h = net.num_routers;
+               h < static_cast<NodeId>(net.nodes.size()); ++h) {
+            ASSERT_EQ(fp.next_link(r, h), fresh.next_link(r, h))
+                << "router " << r << " toward host " << h;
+          }
+        }
+      });
+  EXPECT_EQ(fp.reconverge_stats().reconverges, reconverges);
+  EXPECT_GT(fp.reconverge_stats().trees_updated, 0u);
+}
+
+TEST(OspfIncremental, FlatPlaneMatchesFreshBuilds) {
+  for (const bool quantized : {false, true}) {
+    SCOPED_TRACE(quantized ? "quantized latencies" : "BRITE latencies");
+    const Network net = brite300(quantized);
+    expect_plane_tracks_fresh_builds(
+        net,
+        [&](std::span<const NodeId> dests, std::span<const LinkId> down) {
+          return ForwardingPlane::build_flat(net, dests, down);
+        },
+        404);
+  }
+}
+
+TEST(OspfIncremental, MultiAsPlaneMatchesFreshBuilds) {
+  for (const bool quantized : {false, true}) {
+    SCOPED_TRACE(quantized ? "quantized latencies" : "maBrite latencies");
+    const Network net = mabrite_small(quantized);
+    expect_plane_tracks_fresh_builds(
+        net,
+        [&](std::span<const NodeId> dests, std::span<const LinkId> down) {
+          return ForwardingPlane::build_multi_as(
+              net, dests, ForwardingPlane::Options{}, down);
+        },
+        505);
+  }
 }
 
 // ---- BGP -------------------------------------------------------------
