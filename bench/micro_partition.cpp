@@ -4,8 +4,13 @@
 // about 10 seconds"); these benches verify ours is in that class.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "graph/graph.hpp"
+#include "lb/graph_prep.hpp"
+#include "lb/hierarchical.hpp"
 #include "partition/partition.hpp"
+#include "topology/brite.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -54,6 +59,32 @@ void BM_EdgeCut(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EdgeCut);
+
+// The HTOP Tmll sweep on a 2,000-router BRITE network over 24 engines: one
+// contraction + partition per threshold until the score bound prunes the
+// rest. Counters give the candidates partitioned and pruned.
+void BM_HierarchicalSweep(benchmark::State& state) {
+  massf::BriteOptions bo;
+  bo.num_routers = 2000;
+  bo.num_hosts = 100;
+  bo.seed = 3;
+  const massf::Network net = massf::generate_flat(bo);
+  massf::MappingOptions mo;
+  mo.kind = massf::MappingKind::kHTop;
+  mo.num_engines = 24;
+  mo.cluster.num_engine_nodes = mo.num_engines;
+  std::vector<std::int64_t> lats;
+  const massf::Graph g =
+      massf::prepare_graph(net, mo.kind, nullptr, mo, &lats);
+  std::optional<massf::HierarchicalResult> r;
+  for (auto _ : state) {
+    r = massf::hierarchical_partition(g, lats, mo);
+    benchmark::DoNotOptimize(r->edge_cut);
+  }
+  state.counters["tried"] = r->candidates_tried;
+  state.counters["pruned"] = r->candidates_pruned;
+}
+BENCHMARK(BM_HierarchicalSweep)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

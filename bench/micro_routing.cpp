@@ -1,6 +1,7 @@
 // Microbenchmarks for the routing substrate: per-destination reverse-SPT
-// computation (what makes 20k-router tables feasible), incremental OSPF
-// reconvergence after a link flap, and the BGP policy fixed-point solve.
+// computation (what makes 20k-router tables feasible), a whole flat plane
+// built on worker threads, incremental OSPF reconvergence after a link
+// flap, and the BGP policy fixed-point solve.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -36,6 +37,25 @@ void BM_OspfPerDestination(benchmark::State& state) {
 }
 BENCHMARK(BM_OspfPerDestination)->Arg(2000)->Arg(20000)
     ->Unit(benchmark::kMillisecond);
+
+// A whole flat plane as ForwardingPlane::build_flat makes it: 2,000
+// routers, 1,000 destination trees computed on the default worker count.
+void BM_ForwardingBuildFlat(benchmark::State& state) {
+  BriteOptions o;
+  o.num_routers = 2000;
+  o.num_hosts = 10;
+  o.seed = 9;
+  const Network net = generate_flat(o);
+  std::vector<NodeId> dests;
+  for (NodeId r = 0; r < net.num_routers; r += 2) dests.push_back(r);
+  for (auto _ : state) {
+    const ForwardingPlane fp = ForwardingPlane::build_flat(net, dests);
+    benchmark::DoNotOptimize(fp.next_link(1, 0));
+  }
+  state.SetLabel(std::to_string(dests.size()) + " destinations, " +
+                 std::to_string(o.num_routers) + " routers");
+}
+BENCHMARK(BM_ForwardingBuildFlat)->Unit(benchmark::kMillisecond);
 
 // One router-router link flap on a 2,000-router flat plane with 1,000
 // destination trees: fail the link, reconverge, restore it, reconverge.

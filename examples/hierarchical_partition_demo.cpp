@@ -77,10 +77,10 @@ int main(int argc, char** argv) {
   const auto best = hierarchical_partition(g, lats, mo);
   if (best) {
     std::printf("\nchosen: Tmll=%.2f ms, achieved MLL=%.3f ms, E=%.3f"
-                " (%d candidates)\n",
+                " (%d candidates partitioned, %d pruned by the E bound)\n",
                 to_milliseconds(best->tmll),
                 to_milliseconds(best->achieved_mll), best->score.e,
-                best->candidates_tried);
+                best->candidates_tried, best->candidates_pruned);
   } else {
     std::printf("\nno admissible threshold; flat partition required\n");
   }

@@ -5,6 +5,10 @@
 // with latency < Tmll (guaranteeing achieved MLL >= Tmll), partition the
 // contracted ("dumped") graph, and score the result with E = Es * Ec.
 // The best-scoring candidate is expanded back to the original graph.
+//
+// The sweep stops partitioning once an upper bound on E, which never rises
+// with the threshold, falls below the best E found: no later candidate
+// could replace it, so the result equals the full sweep's.
 #pragma once
 
 #include <optional>
@@ -23,7 +27,8 @@ struct HierarchicalResult {
   PartitionScore score;
   Weight edge_cut = 0;
   double balance = 0;
-  std::int32_t candidates_tried = 0;
+  std::int32_t candidates_tried = 0;   ///< thresholds partitioned
+  std::int32_t candidates_pruned = 0;  ///< thresholds the bound skipped
 };
 
 /// Runs the Tmll sweep. `latencies` align with g's edge ids. Returns

@@ -39,7 +39,7 @@ ForwardingPlane ForwardingPlane::build_flat(
                    /*keep_distances=*/false);
   // With no table registered yet, exclusions apply at once.
   for (const LinkId l : down) fp.set_link_state(l, false);
-  for (NodeId d : dest_routers) fp.register_destination(d);
+  fp.register_destinations(dest_routers);
   return fp;
 }
 
@@ -68,7 +68,7 @@ ForwardingPlane ForwardingPlane::build_multi_as(
   fp.egress_.resize(num_as);
   fp.select_egress();
 
-  for (NodeId d : dest_routers) fp.register_destination(d);
+  fp.register_destinations(dest_routers);
   return fp;
 }
 
@@ -166,13 +166,20 @@ void ForwardingPlane::reconverge() {
   for (OspfDomain& d : domains_) count(d.recompute(*net_));
 }
 
-void ForwardingPlane::register_destination(NodeId dest) {
-  MASSF_CHECK(net_->is_router(dest));
+void ForwardingPlane::register_destinations(std::span<const NodeId> dests) {
+  for (const NodeId d : dests) MASSF_CHECK(net_->is_router(d));
   if (flat_) {
-    flat_->add_destination(*net_, dest);
-  } else {
-    const AsId a = net_->nodes[static_cast<std::size_t>(dest)].as_id;
-    domains_[static_cast<std::size_t>(a)].add_destination(*net_, dest);
+    flat_->add_destinations(*net_, dests);
+    return;
+  }
+  // Grouping keeps each domain's destinations in their order of appearance.
+  std::vector<std::vector<NodeId>> by_as(domains_.size());
+  for (const NodeId d : dests) {
+    const AsId a = net_->nodes[static_cast<std::size_t>(d)].as_id;
+    by_as[static_cast<std::size_t>(a)].push_back(d);
+  }
+  for (std::size_t a = 0; a < domains_.size(); ++a) {
+    domains_[a].add_destinations(*net_, by_as[a]);
   }
 }
 

@@ -108,7 +108,9 @@ class ForwardingPlane {
  private:
   explicit ForwardingPlane(const Network& net);
 
-  void register_destination(NodeId dest_router);
+  // Builds the tables toward `dests` (routers); each domain's trees are
+  // computed on worker threads (OspfDomain::add_destinations).
+  void register_destinations(std::span<const NodeId> dests);
 
   const Network* net_;
   std::vector<LinkId> host_link_;  // per host index (id - num_routers)

@@ -1,8 +1,11 @@
 #include "routing/ospf.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <string>
+#include <system_error>
+#include <thread>
 
 #include "util/check.hpp"
 #include "util/error.hpp"
@@ -132,61 +135,99 @@ std::int64_t OspfDomain::old_distance(const Table& t, std::int32_t v) {
 }
 
 template <class Dist>
-void OspfDomain::relax(Table& t, Dist& dist, std::int32_t v, std::int64_t nd,
-                       LinkId link) {
+void OspfDomain::relax(Table& t, Dist& dist, Scratch& s, std::int32_t v,
+                       std::int64_t nd, LinkId link) const {
   const std::int64_t cur = dist.get(v);
   LinkId& nxt = t.next[static_cast<std::size_t>(v)];
   if (cur < 0 || nd < cur || (nd == cur && link < nxt)) {
     dist.set(v, nd);
     nxt = link;
-    heap_.push_back({nd, v});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    touched_.push_back(v);
+    s.heap.push_back({nd, v});
+    std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
+    s.touched.push_back(v);
   }
 }
 
 template <class Dist, class Open>
-void OspfDomain::settle(Table& t, Dist& dist, Open open) {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const auto [d, v] = heap_.back();
-    heap_.pop_back();
+void OspfDomain::settle(Table& t, Dist& dist, Scratch& s, Open open) const {
+  while (!s.heap.empty()) {
+    std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
+    const auto [d, v] = s.heap.back();
+    s.heap.pop_back();
     if (d != dist.get(v)) continue;
     for (const Arc& a : arcs(v)) {
       if (arc_up(a) && open(a.peer)) {
-        relax(t, dist, a.peer, d + a.cost, a.link);
+        relax(t, dist, s, a.peer, d + a.cost, a.link);
       }
     }
   }
 }
 
-void OspfDomain::add_destination(const Network& net, NodeId dest) {
-  (void)net;
-  const std::int32_t d = local_index(dest);
-  MASSF_CHECK(d >= 0);
-  std::int32_t& slot = slot_[static_cast<std::size_t>(d)];
-  if (slot >= 0) return;
-  const std::size_t n = members_.size();
-
-  // Dijkstra outward from the destination; because links are symmetric the
-  // tree rooted at dest gives, for every router, the first link of its
-  // shortest path *toward* dest. Ties are broken toward the lower link id
-  // so tables are deterministic.
-  Table t{d, std::vector<LinkId>(n, kInvalidLink), {}};
-  ArrayDist dist{nullptr};
-  if (keep_distances_) {
-    t.dist.assign(n, -1);
-    dist.d = t.dist.data();
-  } else {
-    scratch_dist_.assign(n, -1);
-    dist.d = scratch_dist_.data();
+// Dijkstra outward from the destination; because links are symmetric the
+// tree rooted at dest gives, for every router, the first link of its
+// shortest path *toward* dest. Ties are broken toward the lower link id so
+// tables are deterministic.
+void OspfDomain::build_tree(Table& t, Scratch& s) const {
+  ArrayDist dist{t.dist.data()};
+  if (!keep_distances_) {
+    s.dist.assign(members_.size(), -1);
+    dist.d = s.dist.data();
   }
-  dist.set(d, 0);
-  heap_.assign(1, {0, d});
-  settle(t, dist, [](std::int32_t) { return true; });
-  touched_.clear();
-  slot = static_cast<std::int32_t>(tables_.size());
-  tables_.push_back(std::move(t));
+  dist.set(t.root, 0);
+  s.heap.assign(1, {0, t.root});
+  settle(t, dist, s, [](std::int32_t) { return true; });
+  s.touched.clear();
+}
+
+void OspfDomain::add_destinations(const Network& net,
+                                  std::span<const NodeId> dests,
+                                  std::size_t workers) {
+  (void)net;
+  // Slots first, serially, so they do not depend on the thread count. The
+  // tables are allocated here too: the workers only fill them.
+  const std::size_t first = tables_.size();
+  const std::size_t n = members_.size();
+  for (const NodeId dest : dests) {
+    const std::int32_t d = local_index(dest);
+    MASSF_CHECK(d >= 0);
+    std::int32_t& slot = slot_[static_cast<std::size_t>(d)];
+    if (slot >= 0) continue;
+    slot = static_cast<std::int32_t>(tables_.size());
+    tables_.push_back({d, std::vector<LinkId>(n, kInvalidLink),
+                       keep_distances_ ? std::vector<std::int64_t>(n, -1)
+                                       : std::vector<std::int64_t>{}});
+  }
+  const std::span<Table> fresh(tables_.data() + first,
+                               tables_.size() - first);
+  if (fresh.empty()) return;
+
+  if (workers == 0) {
+    const std::size_t cpus =
+        std::max(1u, std::thread::hardware_concurrency());
+    workers = std::min(cpus, fresh.size() / kMinTreesPerWorker);
+  }
+  workers = std::clamp<std::size_t>(workers, 1, fresh.size());
+
+  // Trees are independent, so which worker builds which cannot change a
+  // table: hand them out through a shared counter.
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    Scratch s;
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < fresh.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
+      build_tree(fresh[i], s);
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  try {
+    while (threads.size() + 1 < workers) threads.emplace_back(work);
+  } catch (const std::system_error&) {
+    // No thread to be had: the threads already started and this one
+    // finish the work.
+  }
+  work();
+  for (std::thread& t : threads) t.join();
 }
 
 void OspfDomain::set_link_excluded(LinkId link, bool excluded) {
@@ -236,7 +277,7 @@ void OspfDomain::apply_down(Table& t, Dist dist, const Arc& ab,
     dist.set(v, -1);
     t.next[static_cast<std::size_t>(v)] = kInvalidLink;
   }
-  heap_.clear();
+  scratch_.heap.clear();
   for (const std::int32_t v : region_) {
     for (const Arc& arc : arcs(v)) {
       if (!arc_up(arc) ||
@@ -244,13 +285,13 @@ void OspfDomain::apply_down(Table& t, Dist dist, const Arc& ab,
         continue;
       }
       const std::int64_t dw = dist.get(arc.peer);
-      if (dw >= 0) relax(t, dist, v, dw + arc.cost, arc.link);
+      if (dw >= 0) relax(t, dist, scratch_, v, dw + arc.cost, arc.link);
     }
   }
-  settle(t, dist, [this](std::int32_t v) {
+  settle(t, dist, scratch_, [this](std::int32_t v) {
     return mark_[static_cast<std::size_t>(v)] == epoch_;
   });
-  touched_.clear();
+  scratch_.touched.clear();
   ++stats.trees_updated;
   stats.routers_resettled += region_.size();
 }
@@ -278,26 +319,26 @@ void OspfDomain::apply_up(Table& t, Dist dist, const Arc& ab, std::int32_t a,
             (du + ab.cost == dv &&
              ab.link < t.next[static_cast<std::size_t>(v)]));
   };
-  heap_.clear();
-  touched_.clear();
+  scratch_.heap.clear();
+  scratch_.touched.clear();
   if (improves(da, db, b)) {
-    relax(t, dist, b, da + ab.cost, ab.link);
+    relax(t, dist, scratch_, b, da + ab.cost, ab.link);
   } else if (improves(db, da, a)) {
-    relax(t, dist, a, db + ab.cost, ab.link);
+    relax(t, dist, scratch_, a, db + ab.cost, ab.link);
   } else {
     return;
   }
-  settle(t, dist, [](std::int32_t) { return true; });
+  settle(t, dist, scratch_, [](std::int32_t) { return true; });
 
   next_epoch(mark_, epoch_);
-  for (const std::int32_t v : touched_) {
+  for (const std::int32_t v : scratch_.touched) {
     std::uint32_t& m = mark_[static_cast<std::size_t>(v)];
     if (m != epoch_) {
       m = epoch_;
       ++stats.routers_resettled;
     }
   }
-  touched_.clear();
+  scratch_.touched.clear();
   ++stats.trees_updated;
 }
 

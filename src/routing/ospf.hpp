@@ -41,7 +41,20 @@ class OspfDomain {
 
   /// Computes the reverse shortest-path tree toward `dest` (a member) and
   /// stores the per-router next hop. Safe to call for the same dest twice.
-  void add_destination(const Network& net, NodeId dest);
+  void add_destination(const Network& net, NodeId dest) {
+    add_destinations(net, {&dest, 1}, 1);
+  }
+
+  /// add_destination for every router of `dests` in order (duplicates and
+  /// registered ones are skipped): table slots are assigned serially, in
+  /// first-appearance order, and the new trees are then computed on
+  /// `workers` threads, each with its own scratch. 0 picks
+  /// hardware_concurrency(), capped so every worker gets at least
+  /// kMinTreesPerWorker trees. The tables equal those of repeated
+  /// add_destination calls; all threads are joined before returning.
+  void add_destinations(const Network& net, std::span<const NodeId> dests,
+                        std::size_t workers = 0);
+  static constexpr std::size_t kMinTreesPerWorker = 64;
 
   bool has_destination(NodeId dest) const {
     const std::int32_t d = local_index(dest);
@@ -94,6 +107,13 @@ class OspfDomain {
     std::int32_t peer;
     std::int64_t cost;
   };
+  // Dijkstra scratch: the heap, the routers a search updated, and the
+  // distance array of a fresh build in a flat domain. One per thread.
+  struct Scratch {
+    std::vector<std::pair<std::int64_t, std::int32_t>> heap;
+    std::vector<std::int32_t> touched;
+    std::vector<std::int64_t> dist;
+  };
   // Per-LinkId state bits in link_state_.
   static constexpr std::uint8_t kDown = 1;     // requested exclusion
   static constexpr std::uint8_t kSpfDown = 2;  // exclusion the tables reflect
@@ -120,14 +140,18 @@ class OspfDomain {
   struct LazyDist;
   std::int64_t old_distance(const Table& t, std::int32_t v);
 
-  // Dijkstra from the entries already in heap_, relaxing only into routers
-  // `open` admits (ties go to the lower link id). Every router it updates
-  // is appended to touched_.
+  // Dijkstra from the entries already in s.heap, relaxing only into
+  // routers `open` admits (ties go to the lower link id). Every router it
+  // updates is appended to s.touched. Reads only the domain's topology and
+  // link states, so threads with their own Scratch may run it on distinct
+  // tables.
   template <class Dist, class Open>
-  void settle(Table& t, Dist& dist, Open open);
+  void settle(Table& t, Dist& dist, Scratch& s, Open open) const;
   template <class Dist>
-  void relax(Table& t, Dist& dist, std::int32_t v, std::int64_t nd,
-             LinkId link);
+  void relax(Table& t, Dist& dist, Scratch& s, std::int32_t v,
+             std::int64_t nd, LinkId link) const;
+  // The whole tree of t.root, from scratch.
+  void build_tree(Table& t, Scratch& s) const;
 
   // One changed link, arc `ab` out of local router `a`, applied to one
   // tree (the link's state bit already flipped).
@@ -151,12 +175,10 @@ class OspfDomain {
   bool keep_distances_ = true;
 
   // Scratch reused across updates.
-  std::vector<std::pair<std::int64_t, std::int32_t>> heap_;
-  std::vector<std::int32_t> touched_;
+  Scratch scratch_;
   std::vector<std::int32_t> region_;
   std::vector<std::uint32_t> mark_;  // == epoch_: in the current region
   std::uint32_t epoch_ = 0;
-  std::vector<std::int64_t> scratch_dist_;  // fresh builds, flat domains
   // LazyDist state (flat domains), valid while == dist_epoch_: the tree's
   // distances before the update, and the values the update wrote.
   std::vector<std::int64_t> old_dist_, new_dist_;

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <set>
 
+#include "graph/union_find.hpp"
 #include "lb/graph_prep.hpp"
 #include "lb/hierarchical.hpp"
 #include "lb/mapping.hpp"
 #include "lb/profile.hpp"
 #include "partition/partition.hpp"
 #include "topology/brite.hpp"
+#include "topology/mabrite.hpp"
+#include "util/rng.hpp"
 
 namespace massf {
 namespace {
@@ -387,6 +392,144 @@ TEST(Hierarchical, StepLargerThanMax) {
     EXPECT_LT(lp, opts.num_engines);
   }
 }
+
+// ---- pruned sweep vs the full sweep ---------------------------------------
+
+/// The Tmll sweep without the score bound: every threshold is contracted,
+/// partitioned and scored, the first strictly best candidate wins. Written
+/// only with the public partition primitives, as the reference the pruned
+/// hierarchical_partition must reproduce exactly.
+std::optional<HierarchicalResult> full_sweep(
+    const Graph& g, std::span<const std::int64_t> lats,
+    const MappingOptions& opts) {
+  const SimTime sync = opts.cluster.sync_cost_time(opts.num_engines);
+  std::vector<EdgeId> order(static_cast<std::size_t>(g.num_edges()));
+  std::iota(order.begin(), order.end(), EdgeId{0});
+  std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
+    return lats[static_cast<std::size_t>(a)] <
+           lats[static_cast<std::size_t>(b)];
+  });
+  UnionFind uf(g.num_vertices());
+  std::size_t cursor = 0;
+  std::optional<HierarchicalResult> best;
+  std::int32_t tried = 0;
+  for (SimTime tmll = (sync / opts.tmll_step + 1) * opts.tmll_step;
+       tmll <= opts.tmll_max; tmll += opts.tmll_step) {
+    for (; cursor < order.size() &&
+           lats[static_cast<std::size_t>(order[cursor])] < tmll;
+         ++cursor) {
+      uf.unite(g.edge_u(order[cursor]), g.edge_v(order[cursor]));
+    }
+    if (uf.num_sets() < opts.num_engines) break;
+    const std::vector<VertexId> cluster = uf.compress();
+    std::vector<EdgeId> origin;
+    const Graph dumped = contract(g, cluster, uf.num_sets(), lats, &origin);
+    std::vector<std::int64_t> dlat;
+    for (const EdgeId e : origin) {
+      dlat.push_back(lats[static_cast<std::size_t>(e)]);
+    }
+    PartitionOptions popt;
+    popt.num_parts = opts.num_engines;
+    popt.imbalance_tolerance = opts.imbalance_tolerance;
+    popt.seed = opts.seed;
+    const PartitionResult pr = partition_graph(dumped, popt);
+    ++tried;
+    SimTime mll = min_cut_edge_aux(dumped, pr.part, dlat);
+    if (mll == std::numeric_limits<std::int64_t>::max()) mll = opts.tmll_max;
+    const PartitionScore score = score_partition(mll, sync, pr.part_weights);
+    if (best && !(score.e > best->score.e)) continue;
+    HierarchicalResult r;
+    for (const VertexId c : cluster) {
+      r.part.push_back(pr.part[static_cast<std::size_t>(c)]);
+    }
+    r.tmll = tmll;
+    r.achieved_mll = mll;
+    r.score = score;
+    r.edge_cut = pr.edge_cut;
+    r.balance = pr.balance(dumped.total_vertex_weight());
+    best = std::move(r);
+  }
+  if (best) best->candidates_tried = tried;
+  return best;
+}
+
+enum class SweepGraph { kBriteTop, kBriteProf, kMaBrite };
+
+Graph sweep_graph(SweepGraph kind, std::uint64_t seed,
+                  const MappingOptions& opts,
+                  std::vector<std::int64_t>* lats) {
+  if (kind == SweepGraph::kMaBrite) {
+    MaBriteOptions mo;
+    mo.num_as = 8;
+    mo.routers_per_as = 15;
+    mo.num_hosts = 30;
+    mo.seed = seed;
+    return prepare_graph(generate_multi_as(mo), MappingKind::kHTop, nullptr,
+                         opts, lats);
+  }
+  const Network net = test_network(120, seed);
+  if (kind == SweepGraph::kBriteTop) {
+    return prepare_graph(net, MappingKind::kHTop, nullptr, opts, lats);
+  }
+  // PROF-style weights: a skewed, seeded event profile with hot spots.
+  TrafficProfile profile;
+  Rng rng(seed);
+  for (NodeId r = 0; r < net.num_routers; ++r) {
+    profile.router_events.push_back(
+        rng.uniform(8) == 0 ? 1000 + rng.uniform(50000) : rng.uniform(200));
+  }
+  return prepare_graph(net, MappingKind::kHProf, &profile, opts, lats);
+}
+
+class PrunedSweep : public ::testing::TestWithParam<SweepGraph> {};
+
+TEST_P(PrunedSweep, EqualsFullSweep) {
+  std::int32_t pruned = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    for (const std::int32_t engines : {4, 8, 24}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " engines " << engines);
+      MappingOptions opts = base_opts(engines);
+      opts.seed = seed;
+      std::vector<std::int64_t> lats;
+      const Graph g = sweep_graph(GetParam(), seed, opts, &lats);
+      const auto want = full_sweep(g, lats, opts);
+      const auto got = hierarchical_partition(g, lats, opts);
+      ASSERT_EQ(got.has_value(), want.has_value());
+      if (!want) continue;
+      EXPECT_EQ(got->part, want->part);
+      EXPECT_EQ(got->tmll, want->tmll);
+      EXPECT_EQ(got->achieved_mll, want->achieved_mll);
+      EXPECT_EQ(got->score.es, want->score.es);
+      EXPECT_EQ(got->score.ec, want->score.ec);
+      EXPECT_EQ(got->score.e, want->score.e);
+      EXPECT_EQ(got->edge_cut, want->edge_cut);
+      EXPECT_EQ(got->balance, want->balance);
+      // Every threshold the full sweep partitions is either partitioned or
+      // counted as pruned.
+      EXPECT_EQ(got->candidates_tried + got->candidates_pruned,
+                want->candidates_tried);
+      pruned += got->candidates_pruned;
+    }
+  }
+  EXPECT_GT(pruned, 0) << "the bound never pruned: the test shows nothing";
+}
+
+INSTANTIATE_TEST_SUITE_P(Graphs, PrunedSweep,
+                         ::testing::Values(SweepGraph::kBriteTop,
+                                           SweepGraph::kBriteProf,
+                                           SweepGraph::kMaBrite),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case SweepGraph::kBriteTop:
+                               return "BriteTop";
+                             case SweepGraph::kBriteProf:
+                               return "BriteProf";
+                             case SweepGraph::kMaBrite:
+                               return "MaBrite";
+                           }
+                           return "";
+                         });
 
 }  // namespace
 }  // namespace massf
