@@ -3,13 +3,13 @@
 //
 // Runs one deterministic synthetic workload — a ring of LPs exchanging
 // cross-LP events at exactly the lookahead plus local self-chains inside
-// each window — through both executors and reports *real* events/sec, the
-// window count, and the real barrier overhead measured by the telemetry
-// probe. Subsequent perf PRs diff this file's output; the schema
+// each window — through the sequential and threaded executors and reports
+// *real* events/sec, the window count, and the real synchronization
+// overhead measured by the telemetry probe. Subsequent perf PRs diff this file's output; the schema
 // ("massf.bench_pdes.v1") is documented in DESIGN.md and README.md.
 //
 // Usage: bench_pdes [--lps=32] [--chain=64] [--hops=2000] [--threads=N]
-//                   [--sweep=1,2,4] [--repeats=3] [--sync=both] [--shards=2]
+//                   [--sweep=1,2,4] [--repeats=3] [--shards=2]
 //                   [--out=BENCH_pdes.json] [--print-golden]
 //
 // --shards runs the same workload once more under the multi-process
@@ -18,7 +18,7 @@
 // pdes.shard.* transport counters (ring stalls, batch bytes, cross-shard
 // events, control-page waits) plus `ring_wait_share`, the fraction of
 // total worker-seconds spent blocked on the rings/control page —
-// check_bench.py gates it like --min-wait-reduction. The sharded
+// check_bench.py gates it with --max-ring-wait-share. The sharded
 // checksum must agree with the sequential reference or the bench fails.
 // Pass --shards=0 (or 1) to skip the row.
 //
@@ -33,18 +33,17 @@
 // Pass --sweep=none to skip it. Every run's checksum must agree with the
 // sequential reference or the bench fails.
 //
-// --sync selects the threaded synchronization protocol(s): barrier,
-// channel, or both (the default — one "threaded" + "threaded_channel"
-// entry pair plus a per-mode sweep, so one report carries baselines for
-// both protocols and check_bench.py gates them independently).
+// The threaded rows ("threaded_channel" at --threads, one sweep entry per
+// count) run the channel-clock executor and carry "sync": "channel";
+// sequential rows carry "sync": "none".
 //
 // Wait-time semantics: every entry reports `barrier_wait_s`, the *summed*
-// idle/blocked thread-seconds the probe attributed to synchronization
+// blocked thread-seconds the probe attributed to synchronization
 // (legitimately larger than wall_s — it is a thread-seconds quantity), and
 // `barrier_wait_mean_s`, the per-thread mean, which is the number to read
-// against wall_s. Barrier entries measure idle time inside the processing
-// phase (span x threads - busy); channel entries measure protocol-imposed
-// blocking (channel stalls + epoch parks, SyncStats in channel_sync.hpp).
+// against wall_s. Threaded entries measure protocol-imposed blocking
+// (channel stalls + epoch parks, SyncStats in channel_sync.hpp); the
+// sequential loop never waits and reports 0.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -68,7 +67,7 @@ using namespace massf;
 
 // Each kEvHop event forwards to the next LP in the ring after the
 // lookahead; each hop also spawns a short same-window self-chain so LPs do
-// real per-window work between barriers.
+// real per-window work between window boundaries.
 constexpr std::int32_t kEvHop = 1;
 constexpr std::int32_t kEvLocal = 2;
 
@@ -109,7 +108,7 @@ struct Workload {
 struct Measurement {
   RunStats stats;
   std::int32_t threads = 0;
-  const char* sync = "none";  ///< "none" (sequential), "barrier", "channel"
+  const char* sync = "none";  ///< "none" (sequential) or "channel"
   double wall_s = 0;
   double events_per_sec = 0;
   std::uint64_t checksum = 0;
@@ -128,14 +127,12 @@ struct Measurement {
 };
 
 Measurement measure(const Workload& w, std::int32_t threads, int repeats,
-                    SyncMode sync = SyncMode::kBarrier,
                     bool guarded = false) {
   Measurement best;
   for (int rep = 0; rep < repeats; ++rep) {
     EngineOptions o;
     o.lookahead = milliseconds(1);
     o.end_time = seconds(3600);
-    o.sync = sync;
     if (guarded) {
       // Supervised row (DESIGN.md section 5h): liveness telemetry on and
       // the watchdog armed, with a deadline the healthy run never hits —
@@ -182,7 +179,7 @@ Measurement measure(const Workload& w, std::int32_t threads, int repeats,
     Measurement m;
     m.stats = stats;
     m.threads = threads;
-    m.sync = threads > 0 ? sync_mode_name(sync) : "none";
+    m.sync = threads > 0 ? "channel" : "none";
     m.guard = guarded;
     m.wall_s = wall_s;
     m.events_per_sec =
@@ -368,21 +365,8 @@ int main(int argc, char** argv) {
       flags.get_string("out", "BENCH_pdes.json");
   const std::vector<std::int32_t> sweep =
       parse_sweep(flags.get_string("sweep", "1,2,4"));
-  const std::string sync_spec = flags.get_string("sync", "both");
   if (threads < 1 || repeats < 1) {
     std::fprintf(stderr, "[bench_pdes] --threads and --repeats must be >= 1\n");
-    return 2;
-  }
-  std::vector<SyncMode> modes;
-  if (sync_spec == "barrier" || sync_spec == "both") {
-    modes.push_back(SyncMode::kBarrier);
-  }
-  if (sync_spec == "channel" || sync_spec == "both") {
-    modes.push_back(SyncMode::kChannel);
-  }
-  if (modes.empty()) {
-    std::fprintf(stderr,
-                 "[bench_pdes] --sync must be barrier, channel, or both\n");
     return 2;
   }
 
@@ -411,8 +395,8 @@ int main(int argc, char** argv) {
 
   // The supervision-cost row: same sequential reference with telemetry on
   // and the watchdog armed. check_bench.py gates the overhead.
-  const Measurement seq_guard = measure(w, /*threads=*/0, repeats,
-                                        SyncMode::kBarrier, /*guarded=*/true);
+  const Measurement seq_guard =
+      measure(w, /*threads=*/0, repeats, /*guarded=*/true);
   std::fprintf(stderr,
                "[bench_pdes] sequential+guard: %.0f events/s "
                "(%.1f%% overhead vs unguarded)\n",
@@ -430,49 +414,28 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Threaded runs: the sweep, plus the --threads run when the sweep does
+  // not already cover that count.
+  std::vector<std::int32_t> counts = sweep;
+  if (std::find(counts.begin(), counts.end(), threads) == counts.end()) {
+    counts.push_back(threads);
+  }
   std::vector<Measurement> sweep_runs;
-  Measurement thr_barrier;
   Measurement thr_channel;
-  bool have_barrier = false;
-  bool have_channel = false;
-  for (const SyncMode mode : modes) {
-    Measurement* top =
-        mode == SyncMode::kChannel ? &thr_channel : &thr_barrier;
-    bool* have = mode == SyncMode::kChannel ? &have_channel : &have_barrier;
-    for (const std::int32_t t : sweep) {
-      const Measurement m = measure(w, t, repeats, mode);
-      std::fprintf(stderr, "[bench_pdes] threaded(%d, %s): %.0f events/s\n",
-                   t, sync_mode_name(mode), m.events_per_sec);
-      if (!agrees(m)) {
-        std::fprintf(stderr,
-                     "[bench_pdes] ERROR: executors disagree at %d threads "
-                     "(%s sync, checksum %llu vs %llu)\n",
-                     t, sync_mode_name(mode),
-                     static_cast<unsigned long long>(seq.checksum),
-                     static_cast<unsigned long long>(m.checksum));
-        return 1;
-      }
-      sweep_runs.push_back(m);
-      if (t == threads) {
-        *top = m;
-        *have = true;
-      }
+  for (const std::int32_t t : counts) {
+    const Measurement m = measure(w, t, repeats);
+    std::fprintf(stderr, "[bench_pdes] threaded(%d): %.0f events/s\n", t,
+                 m.events_per_sec);
+    if (!agrees(m)) {
+      std::fprintf(stderr,
+                   "[bench_pdes] ERROR: executors disagree at %d threads "
+                   "(checksum %llu vs %llu)\n",
+                   t, static_cast<unsigned long long>(seq.checksum),
+                   static_cast<unsigned long long>(m.checksum));
+      return 1;
     }
-    if (!*have) {
-      *top = measure(w, threads, repeats, mode);
-      std::fprintf(stderr, "[bench_pdes] threaded(%d, %s): %.0f events/s\n",
-                   threads, sync_mode_name(mode), top->events_per_sec);
-      if (!agrees(*top)) {
-        std::fprintf(stderr,
-                     "[bench_pdes] ERROR: executors disagree (%s sync, "
-                     "checksum %llu vs %llu)\n",
-                     sync_mode_name(mode),
-                     static_cast<unsigned long long>(seq.checksum),
-                     static_cast<unsigned long long>(top->checksum));
-        return 1;
-      }
-      *have = true;
-    }
+    if (t == threads) thr_channel = m;
+    if (sweep_runs.size() < sweep.size()) sweep_runs.push_back(m);
   }
 
   obs::Registry shard_registry;
@@ -520,10 +483,7 @@ int main(int argc, char** argv) {
           std::to_string(std::thread::hardware_concurrency()) + "},\n";
   json += executor_json("sequential", seq) + ",\n";
   json += executor_json("sequential_guard", seq_guard) + ",\n";
-  if (have_barrier) json += executor_json("threaded", thr_barrier) + ",\n";
-  if (have_channel) {
-    json += executor_json("threaded_channel", thr_channel) + ",\n";
-  }
+  json += executor_json("threaded_channel", thr_channel) + ",\n";
   if (have_sharded) {
     json += "  \"sharded\": " + shard_measurement_json(sharded) + ",\n";
   }
@@ -533,13 +493,8 @@ int main(int argc, char** argv) {
     json += measurement_json(sweep_runs[i], "    ");
   }
   json += sweep_runs.empty() ? "],\n" : "\n  ],\n";
-  if (have_barrier) {
-    json += "  \"speedup\": " + format_double(speedup(thr_barrier)) + ",\n";
-  }
-  if (have_channel) {
-    json += "  \"speedup_channel\": " + format_double(speedup(thr_channel)) +
-            ",\n";
-  }
+  json += "  \"speedup_channel\": " + format_double(speedup(thr_channel)) +
+          ",\n";
   // Trailing comma cleanup: replace the final ",\n" with "\n}\n".
   json.erase(json.size() - 2);
   json += "\n}\n";

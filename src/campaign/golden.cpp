@@ -51,7 +51,7 @@ class RingLp final : public LogicalProcess {
   std::int64_t chain_;
 };
 
-shard::ShardWorkload build_ring(SyncMode sync) {
+shard::ShardWorkload build_ring() {
   constexpr std::int64_t kLps = 32;
   constexpr std::int64_t kChain = 64;
   constexpr std::uint64_t kHops = 2000;
@@ -59,7 +59,6 @@ shard::ShardWorkload build_ring(SyncMode sync) {
   EngineOptions o;
   o.lookahead = milliseconds(1);
   o.end_time = seconds(3600);
-  o.sync = sync;
   auto engine = std::make_unique<Engine>(o);
   auto lps = std::make_shared<std::vector<RingLp*>>();
   for (std::int64_t i = 0; i < kLps; ++i) {
@@ -81,7 +80,7 @@ shard::ShardWorkload build_ring(SyncMode sync) {
 
 }  // namespace
 
-std::uint64_t golden_ring_checksum(SyncMode sync, std::int32_t threads,
+std::uint64_t golden_ring_checksum(std::int32_t threads,
                                    std::uint64_t* events,
                                    std::uint64_t* windows,
                                    std::int32_t shards) {
@@ -89,13 +88,13 @@ std::uint64_t golden_ring_checksum(SyncMode sync, std::int32_t threads,
     shard::ShardOptions so;
     so.shards = shards;
     const shard::ShardResult result =
-        shard::run_sharded(so, [sync] { return build_ring(sync); });
+        shard::run_sharded(so, [] { return build_ring(); });
     if (events != nullptr) *events = result.stats.total_events;
     if (windows != nullptr) *windows = result.stats.num_windows;
     return result.checksum;
   }
 
-  shard::ShardWorkload w = build_ring(sync);
+  shard::ShardWorkload w = build_ring();
   const RunStats stats =
       threads > 0 ? w.engine->run_threaded(threads) : w.engine->run();
   if (events != nullptr) *events = stats.total_events;

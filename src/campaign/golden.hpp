@@ -7,15 +7,13 @@
 // event's timestamp per LP and then across LPs, so any change to
 // execution order, event count, or LP assignment moves it.
 //
-// A campaign with `golden 1` runs this once per distinct (sync, threads)
+// A campaign with `golden 1` runs this once per distinct (threads, shards)
 // combination and records the checksum in the roll-up; the nightly gate
 // (scripts/check_bench.py --campaign) pins the expected value, putting
 // the engine-determinism contract into every campaign artifact.
 #pragma once
 
 #include <cstdint>
-
-#include "pdes/channel_sync.hpp"
 
 namespace massf {
 
@@ -32,7 +30,7 @@ inline constexpr std::uint64_t kGoldenRingWindows = 2001ULL;
 /// multi-process executor (src/shard) instead — same checksum contract:
 /// sequential, threaded, and sharded runs all produce the bit-identical
 /// trace, so every configuration returns kGoldenRingChecksum.
-std::uint64_t golden_ring_checksum(SyncMode sync, std::int32_t threads,
+std::uint64_t golden_ring_checksum(std::int32_t threads,
                                    std::uint64_t* events = nullptr,
                                    std::uint64_t* windows = nullptr,
                                    std::int32_t shards = 1);

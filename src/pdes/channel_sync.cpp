@@ -13,14 +13,13 @@
 //
 // Quiescence detection: the thread that completes the window's last merge
 // observes merged_count == n — every channel clock has collapsed to the
-// window end, which is exactly the global quiescent point the barrier
-// executor reaches after its close gate. That thread becomes the *epoch
-// closer*: it runs the unchanged boundary sequence (probe, outbox
-// accounting, EngineHooks stages 1-3, next-floor scan) single-threadedly,
-// then publishes the next epoch with one release store on the epoch word
-// (the only futex wake of the whole window). Hook/rebalance/ckpt semantics
-// are therefore identical to the barrier executor and the sequential
-// reference — only who waits on whom changed.
+// window end, the global quiescent point at which the sequential loop
+// runs its boundary. That thread becomes the *epoch closer*: it runs the
+// unchanged boundary sequence (probe, outbox accounting, EngineHooks
+// stages 1-3, next-floor scan) single-threadedly, then publishes the next
+// epoch with one release store on the epoch word (the only futex wake of
+// the whole window). Hook/rebalance/ckpt semantics are therefore identical
+// to the sequential reference — only who waits on whom changed.
 //
 // Memory ordering. Claims CAS the stage word acq_rel (synchronizing with
 // the previous owner's release store); merge-readiness reads neighbor
@@ -36,36 +35,22 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include <mutex>
-#include <string>
-
 #include "obs/probe.hpp"
-#include "pdes/barrier.hpp"
 #include "pdes/engine.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
+#include "util/warn.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace massf {
-
-SyncMode default_sync_mode() {
-  static const SyncMode mode = [] {
-    const char* env = std::getenv("MASSF_SYNC");
-    if (env != nullptr && std::strcmp(env, "barrier") == 0) {
-      return SyncMode::kBarrier;
-    }
-    return SyncMode::kChannel;
-  }();
-  return mode;
-}
-
-const char* sync_mode_name(SyncMode mode) {
-  return mode == SyncMode::kChannel ? "channel" : "barrier";
-}
 
 void ChannelGraph::add(LpId src, LpId dst, SimTime lookahead) {
   MASSF_ENFORCE(!finalized_, ErrorCategory::kTopology,
@@ -155,12 +140,49 @@ void add_relaxed(std::atomic<double>& a, double d) {
   a.store(a.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
 }
 
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Busy-wait budget for `parties` synchronizing threads. Spinning only
+/// pays when every party plus the main thread can run at once; a host
+/// reporting fewer cores — or 0, hardware_concurrency()'s "unknown" value
+/// — is treated as oversubscribed and yields immediately (spinning there
+/// only delays whichever thread everyone is waiting for).
+std::int32_t spin_budget(std::int32_t parties) {
+  const unsigned hc = std::thread::hardware_concurrency();
+  if (hc == 0) return 0;  // unknown host: assume oversubscribed
+  return hc >= static_cast<unsigned>(parties) + 1 ? 512 : 0;
+}
+
 }  // namespace
 
-RunStats Engine::run_threaded_channel(std::int32_t num_threads) {
-  MASSF_CHECK(num_threads >= 2);
+RunStats Engine::run_threaded(std::int32_t num_threads) {
+  MASSF_CHECK(num_threads >= 1);
+  const std::int32_t requested = num_threads;
+  num_threads = std::min<std::int32_t>(num_threads,
+                                       std::max<std::int32_t>(1, num_lps()));
+  if (num_threads < requested) {
+    warn(ErrorCategory::kConfig,
+         "run_threaded: " + std::to_string(requested) + " threads requested "
+         "for " + std::to_string(num_lps()) + " LPs; clamped to " +
+         std::to_string(num_threads) +
+         " (a thread with no claimable LP would only spin at the gates)");
+  }
+  warn_unknown_host_concurrency(std::thread::hardware_concurrency());
+  if (num_threads == 1) {
+    // One thread has nobody to synchronize with: run the sequential window
+    // loop instead. Only the reported thread count differs from run() —
+    // RunStats, probe rows, and the event trace are identical.
+    begin_run();
+    run_threads_ = 1;
+    return run_window_loop();
+  }
   begin_run();
-  sync_stats_.mode = SyncMode::kChannel;
   const LpId n = num_lps();
   const bool timed = probe_ != nullptr;
 
@@ -180,7 +202,6 @@ RunStats Engine::run_threaded_channel(std::int32_t num_threads) {
     return stats_;
   }
 
-  threaded_ = true;
   run_threads_ = num_threads;
 
   // ---- shared protocol state ---------------------------------------------
@@ -423,7 +444,6 @@ RunStats Engine::run_threaded_channel(std::int32_t num_threads) {
     sync_stats_.epoch_wait_s +=
         a.epoch_wait_s.load(std::memory_order_relaxed);
   }
-  threaded_ = false;
   finish_run(final_floor);
   rethrow_run_error();
   return stats_;

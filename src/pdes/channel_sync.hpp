@@ -1,10 +1,9 @@
 // Topology-aware channel-clock synchronization for the threaded executor.
 //
-// The barrier executor (threaded.cpp) makes every worker cross three global
-// sense-reversing barriers per window, so each window costs 3 x num_threads
-// futex/spin round-trips even when most engine pairs never exchange an
-// event. This module replaces the global gates with per-engine-pair
-// progress tracking in the null-message/channel-clock tradition: each LP
+// Instead of global gates that every worker crosses each window (costing
+// num_threads futex/spin round-trips even when most engine pairs never
+// exchange an event), the executor tracks per-engine-pair progress in the
+// null-message/channel-clock tradition: each LP
 // carries an epoch-tagged stage word (idle -> processing -> processed ->
 // merging -> merged), a merge becomes ready as soon as the LP itself and
 // its *in-neighbors on the channel graph* are processed (their channel
@@ -13,7 +12,7 @@
 // thread that completes a window's last merge observes every channel clock
 // at the window end — collapses the per-pair clocks into a global epoch
 // and runs the EngineHooks boundary (hooks -> rebalance -> ckpt) exactly
-// where the barrier executor ran it, so boundary semantics, checkpoints,
+// where the sequential loop runs it, so boundary semantics, checkpoints,
 // and the bit-exact event trace are unchanged (DESIGN.md section 5g).
 //
 // The ChannelGraph is the topology the sync protocol exploits. Channels
@@ -34,18 +33,11 @@
 
 namespace massf {
 
-/// Executor synchronization protocol for Engine::run_threaded.
+/// The one threaded protocol; kept only because the benchmark harness
+/// still assigns EngineOptions::sync / ScenarioOptions::sync.
 enum class SyncMode : std::uint8_t {
-  kBarrier,  ///< three global sense-reversing barriers per window
   kChannel,  ///< per-engine-pair channel clocks + quiescence epochs
 };
-
-/// Process-wide default sync mode: SyncMode::kChannel unless the
-/// environment sets MASSF_SYNC=barrier (the CI matrix uses this to run the
-/// whole suite under both protocols). Read once and cached.
-SyncMode default_sync_mode();
-
-const char* sync_mode_name(SyncMode mode);
 
 /// Directed cross-LP communication topology with per-channel lookahead.
 /// Build with add(), then hand to Engine::set_channels (which finalizes).
@@ -95,11 +87,10 @@ class ChannelGraph {
 
 /// Aggregates of one run's synchronization behaviour, published as
 /// `pdes.sync.*` when a registry is attached (schema in DESIGN.md 5g).
-/// Only the channel executor fills the dynamic fields; wait times are
+/// Only the threaded executor fills the dynamic fields; wait times are
 /// measured only while a WindowProbe is attached (the hot path performs no
 /// clock reads otherwise).
 struct SyncStats {
-  SyncMode mode = SyncMode::kBarrier;
   /// Declared channels (0 = all-pairs fallback).
   std::uint64_t channels = 0;
   /// Channel advances that carried no events: at each merge, an

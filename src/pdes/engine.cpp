@@ -12,7 +12,7 @@
 
 namespace massf {
 
-thread_local Engine::HandlerCtx Engine::tls_ctx_;
+constinit thread_local Engine::HandlerCtx Engine::tls_ctx_;
 
 void LogicalProcess::save(ckpt::Writer&) const {}
 bool LogicalProcess::load(ckpt::Reader&) { return true; }
@@ -228,22 +228,14 @@ void Engine::process_lp_window(LpId i) {
   // a handler (nested simulation) must not clobber the outer engine's
   // context on this thread.
   const HandlerCtx saved = tls_ctx_;
-  if (threaded_) {
-    tls_ctx_ = HandlerCtx{this, 0, i};
-  } else {
-    current_lp_ = i;
-  }
+  tls_ctx_ = HandlerCtx{this, 0, i};
   try {
     for (;;) {
       const SimTime next = lp.queue.min_time();  // kSimTimeMax when empty
       if (next >= window_end_ || next >= opts_.end_time) break;
       const Event ev = lp.queue.top();
       lp.queue.pop();
-      if (threaded_) {
-        tls_ctx_.now = ev.time;
-      } else {
-        now_ = ev.time;
-      }
+      tls_ctx_.now = ev.time;
       lp.process->handle(*this, ev);
       ++lp.events;
       ++lp.window_events;
@@ -256,23 +248,15 @@ void Engine::process_lp_window(LpId i) {
     // Restore the handler context before the error propagates: the worker
     // keeps running protocol steps (and possibly other LPs) while the run
     // shuts down, and a stale context would corrupt now()/current_lp().
-    if (threaded_) {
-      tls_ctx_ = saved;
-    } else {
-      current_lp_ = kInvalidLp;
-    }
+    tls_ctx_ = saved;
     throw;
   }
-  if (threaded_) {
-    tls_ctx_ = saved;
-  } else {
-    current_lp_ = kInvalidLp;
-  }
+  tls_ctx_ = saved;
   if (guard_enabled_) guard_note_lp(i);
 }
 
 void Engine::run_barrier_hooks(SimTime floor) {
-  // Hooks observe the window floor through now() under both executors
+  // Hooks observe the window floor through now() under every executor
   // (current_lp() is invalid here, so schedule() takes the injection path).
   now_ = floor;
   for (auto& hook : hooks_.barrier) hook(*this, floor);
@@ -344,8 +328,6 @@ void Engine::publish_run_metrics() {
   r.gauge("pdes.sched.threads").set(static_cast<double>(run_threads_));
   // Synchronization protocol aggregates (schema massf.metrics.v1,
   // DESIGN.md section 5g). Wait gauges are zero unless a probe timed them.
-  r.gauge("pdes.sync.mode")
-      .set(sync_stats_.mode == SyncMode::kChannel ? 1.0 : 0.0);
   r.gauge("pdes.sync.channels").set(static_cast<double>(sync_stats_.channels));
   r.counter("pdes.sync.null_events").inc(sync_stats_.null_events);
   r.counter("pdes.sync.stalls").inc(sync_stats_.stalls);

@@ -1,11 +1,11 @@
-// Conservative barrier-synchronous parallel discrete-event engine.
+// Conservative window-synchronous parallel discrete-event engine.
 //
 // This reproduces the synchronization protocol of DaSSF-class simulators
 // (MaSSF's engine): logical processes (LPs) — one per simulation engine
 // node — advance in global windows of width `lookahead`, the minimum
 // cross-partition link latency (MLL). Within a window every LP processes
 // its own events independently; events sent to other LPs are buffered and
-// exchanged at the window barrier. Conservative correctness holds because a
+// exchanged at the window boundary. Conservative correctness holds because a
 // cross-LP event sent at time t arrives at t + (channel latency >= MLL),
 // i.e. never inside the window it was sent from — the engine enforces this
 // with a runtime check rather than trusting the caller.
@@ -14,9 +14,9 @@
 // DESIGN.md: per window it charges each LP `cost_per_event` for every event
 // processed and the whole machine one synchronization cost, accumulating a
 // *modeled* parallel wall clock from which simulation time, load imbalance,
-// and parallel efficiency are derived. A threaded executor (threaded.hpp)
-// really runs LPs on worker threads and produces identical simulation
-// results.
+// and parallel efficiency are derived. The threaded executor
+// (channel_sync.cpp) really runs LPs on worker threads, synchronized by
+// per-channel clocks, and produces identical simulation results.
 #pragma once
 
 #include <atomic>
@@ -52,9 +52,8 @@ class ShardDriver;
 class Engine;
 
 /// Every hook the engine fires at a window boundary, installed as one
-/// struct (set_hooks / hooks()). Firing order at each boundary, on the
-/// coordinator thread under both executors (workers quiescent, no handler
-/// running):
+/// struct (set_hooks / hooks()). Firing order at each boundary, on one
+/// thread under every executor (workers quiescent, no handler running):
 ///
 ///   1. barrier hooks, in registration order — online pacing, fault
 ///      injection, routing changes;
@@ -116,10 +115,8 @@ struct EngineOptions {
   /// When > 0, per-LP event counts are recorded into virtual-time bins of
   /// this width (for load-variation traces, paper Figure 3).
   SimTime load_bin = 0;
-  /// Synchronization protocol for run_threaded (run() is unaffected; both
-  /// protocols produce the bit-identical trace). Defaults to channel
-  /// clocks; MASSF_SYNC=barrier flips the process default.
-  SyncMode sync = default_sync_mode();
+  /// Unread; kept only because the benchmark harness still assigns it.
+  SyncMode sync = SyncMode::kChannel;
   /// Supervision (src/guard). When enabled the engine maintains liveness
   /// telemetry (guard::GuardTelemetry) a watchdog can sample; off by
   /// default, flipped process-wide by MASSF_GUARD. The engine itself never
@@ -145,7 +142,7 @@ struct RunStats {
   SimTime end_vtime = 0;
   /// Per-LP load traces (empty unless EngineOptions::load_bin > 0).
   std::vector<TimeSeries> lp_load;
-  /// Cross-LP events exchanged at window barriers over the whole run, and
+  /// Cross-LP events exchanged at window boundaries over the whole run, and
   /// the number of non-empty (src,dst) outbox buffers merged. Both are
   /// deterministic functions of the event stream — the differential tests
   /// compare them across executors.
@@ -182,15 +179,16 @@ class Engine {
                 std::uint64_t b = 0, std::uint64_t c = 0, std::uint64_t d = 0);
 
   /// Timestamp of the event being handled (valid inside handle()); inside a
-  /// barrier hook, the start time (floor) of the window about to open —
-  /// identical under both executors.
+  /// boundary hook, the start time (floor) of the window about to open —
+  /// identical under every executor.
   SimTime now() const {
-    return (threaded_ && tls_ctx_.engine == this) ? tls_ctx_.now : now_;
+    return tls_ctx_.engine == this ? tls_ctx_.now : now_;
   }
 
-  /// LP whose event is being handled (valid inside handle()).
+  /// LP whose event is being handled (valid inside handle()); kInvalidLp
+  /// outside a handler.
   LpId current_lp() const {
-    return (threaded_ && tls_ctx_.engine == this) ? tls_ctx_.lp : current_lp_;
+    return tls_ctx_.engine == this ? tls_ctx_.lp : kInvalidLp;
   }
 
   /// Runs sequentially (deterministic reference executor) until end_time or
@@ -209,8 +207,7 @@ class Engine {
   /// each LP is processed serially by exactly one thread, and the merge
   /// assigns arrival seqs in an order independent of thread scheduling
   /// (DESIGN.md sections 5d and 5g). Modeled-time statistics are identical
-  /// as well — only real wall clock differs. The synchronization protocol
-  /// is selected by EngineOptions::sync: global barriers (threaded.cpp) or
+  /// as well — only real wall clock differs. Threads synchronize by
   /// per-channel clocks with quiescence epochs (channel_sync.cpp).
   /// num_threads == 1 short-circuits to the sequential window loop — one
   /// thread has nothing to synchronize with.
@@ -239,13 +236,12 @@ class Engine {
   /// next window boundary, a boundary a stalled run never reaches — this
   /// additionally wakes the channel-clock executor's parked/stalling
   /// workers so they observe the stop and return. Returns true when the
-  /// active executor supports forced cancellation (currently the channel
-  /// executor); false otherwise (sequential and barrier executors can only
-  /// honor the boundary stop — a run wedged *inside* a window or at a
-  /// SpinBarrier cannot be recovered in-process). After a cancelled run,
-  /// run_cancelled() is true, the RunStats are a truncated prefix, and the
-  /// engine must not be reused — recovery restores a checkpoint into a
-  /// fresh engine (guard/guarded_run.hpp).
+  /// active executor supports forced cancellation (the channel executor);
+  /// false otherwise (the sequential loop can only honor the boundary stop
+  /// — a run wedged *inside* a window cannot be recovered in-process).
+  /// After a cancelled run, run_cancelled() is true, the RunStats are a
+  /// truncated prefix, and the engine must not be reused — recovery
+  /// restores a checkpoint into a fresh engine (guard/guarded_run.hpp).
   bool cancel_run();
 
   /// True when the last run ended via cancel_run() rather than reaching
@@ -263,8 +259,9 @@ class Engine {
   /// accounted, the channel-clock executor stops claiming `lp`, freezing
   /// its channel clock mid-run — in-neighbors can never merge, the epoch
   /// never closes, and the protocol stalls exactly the way a lost/wedged
-  /// component would. Other executors ignore the freeze (the degradation
-  /// ladder's barrier fallback must complete). kInvalidLp (default) disarms.
+  /// component would. The sequential loop ignores the freeze (the
+  /// degradation ladder's one-thread rung must complete). kInvalidLp
+  /// (default) disarms.
   void test_freeze_lp_clock(LpId lp, std::uint64_t after_windows = 0) {
     freeze_lp_ = lp;
     freeze_after_windows_ = after_windows;
@@ -351,7 +348,7 @@ class Engine {
     std::uint64_t events = 0;
     std::uint64_t window_events = 0;
     Outbox outbox;  // cross-LP sends buffered within a window, by dst
-    /// Queue depth after processing, before the barrier merge — recorded
+    /// Queue depth after processing, before the boundary merge — recorded
     /// by whichever thread merges this LP's arrivals (by the sequential
     /// loop when a probe is attached), read by the window probe.
     /// Deterministic, so probe rows match across executors.
@@ -429,11 +426,11 @@ class Engine {
 
   EngineOptions opts_;
   std::vector<Lp> lps_;
+  /// now() outside a handler: the floor of the window a boundary hook
+  /// runs at.
   SimTime now_ = 0;
-  LpId current_lp_ = kInvalidLp;
   SimTime window_end_ = 0;
   bool running_ = false;
-  bool threaded_ = false;
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> cancel_requested_{false};
   /// Cached opts_.guard.enabled: the only guard cost a watchdog-off run
@@ -475,22 +472,22 @@ class Engine {
   /// The sequential window loop shared by run() and the single-thread
   /// run_threaded short-circuit (begin_run/run_threads_ already done).
   RunStats run_window_loop();
-  /// The channel-clock executor (channel_sync.cpp). Requires
-  /// num_threads >= 2; run_threaded dispatches here for SyncMode::kChannel.
-  RunStats run_threaded_channel(std::int32_t num_threads);
 
-  // Handler context for worker threads; each LP is owned by exactly one
-  // thread within a window, so all queue/outbox mutations stay LP-local.
-  // The context is tagged with the owning engine and saved/restored around
-  // each LP's window, so engines that nest or interleave on one thread
-  // (e.g. a handler driving an inner simulation) cannot read each other's
-  // handler state.
+  // Handler context of the LP window running on this thread, set by
+  // process_lp_window under every executor; each LP is owned by exactly
+  // one thread within a window, so all queue/outbox mutations stay
+  // LP-local. The context is tagged with the owning engine and
+  // saved/restored around each LP's window, so engines that nest or
+  // interleave on one thread (e.g. a handler driving an inner simulation)
+  // cannot read each other's handler state. constinit: the initializer is
+  // constant, so no TLS init wrapper runs — other translation units read
+  // the variable directly through the inline now()/current_lp().
   struct HandlerCtx {
     const Engine* engine = nullptr;
     SimTime now = 0;
     LpId lp = kInvalidLp;
   };
-  static thread_local HandlerCtx tls_ctx_;
+  static constinit thread_local HandlerCtx tls_ctx_;
 };
 
 }  // namespace massf

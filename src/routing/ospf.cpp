@@ -144,7 +144,7 @@ void OspfDomain::relax(Table& t, Dist& dist, Scratch& s, std::int32_t v,
     nxt = link;
     s.heap.push_back({nd, v});
     std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
-    s.touched.push_back(v);
+    if (s.record) s.touched.push_back(v);
   }
 }
 
@@ -176,7 +176,6 @@ void OspfDomain::build_tree(Table& t, Scratch& s) const {
   dist.set(t.root, 0);
   s.heap.assign(1, {0, t.root});
   settle(t, dist, s, [](std::int32_t) { return true; });
-  s.touched.clear();
 }
 
 void OspfDomain::add_destinations(const Network& net,
@@ -291,7 +290,6 @@ void OspfDomain::apply_down(Table& t, Dist dist, const Arc& ab,
   settle(t, dist, scratch_, [this](std::int32_t v) {
     return mark_[static_cast<std::size_t>(v)] == epoch_;
   });
-  scratch_.touched.clear();
   ++stats.trees_updated;
   stats.routers_resettled += region_.size();
 }
@@ -321,14 +319,15 @@ void OspfDomain::apply_up(Table& t, Dist dist, const Arc& ab, std::int32_t a,
   };
   scratch_.heap.clear();
   scratch_.touched.clear();
+  scratch_.record = true;
   if (improves(da, db, b)) {
     relax(t, dist, scratch_, b, da + ab.cost, ab.link);
   } else if (improves(db, da, a)) {
     relax(t, dist, scratch_, a, db + ab.cost, ab.link);
-  } else {
-    return;
   }
   settle(t, dist, scratch_, [](std::int32_t) { return true; });
+  scratch_.record = false;
+  if (scratch_.touched.empty()) return;  // the tree does not change
 
   next_epoch(mark_, epoch_);
   for (const std::int32_t v : scratch_.touched) {
@@ -338,7 +337,6 @@ void OspfDomain::apply_up(Table& t, Dist dist, const Arc& ab, std::int32_t a,
       ++stats.routers_resettled;
     }
   }
-  scratch_.touched.clear();
   ++stats.trees_updated;
 }
 

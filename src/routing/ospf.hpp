@@ -107,11 +107,13 @@ class OspfDomain {
     std::int32_t peer;
     std::int64_t cost;
   };
-  // Dijkstra scratch: the heap, the routers a search updated, and the
+  // Dijkstra scratch: the heap, the routers a search updated (recorded
+  // only while `record` is set — the up path counts them), and the
   // distance array of a fresh build in a flat domain. One per thread.
   struct Scratch {
     std::vector<std::pair<std::int64_t, std::int32_t>> heap;
     std::vector<std::int32_t> touched;
+    bool record = false;
     std::vector<std::int64_t> dist;
   };
   // Per-LinkId state bits in link_state_.
@@ -141,10 +143,10 @@ class OspfDomain {
   std::int64_t old_distance(const Table& t, std::int32_t v);
 
   // Dijkstra from the entries already in s.heap, relaxing only into
-  // routers `open` admits (ties go to the lower link id). Every router it
-  // updates is appended to s.touched. Reads only the domain's topology and
-  // link states, so threads with their own Scratch may run it on distinct
-  // tables.
+  // routers `open` admits (ties go to the lower link id). While s.record
+  // is set, every router it updates is appended to s.touched. Reads only
+  // the domain's topology and link states, so threads with their own
+  // Scratch may run it on distinct tables.
   template <class Dist, class Open>
   void settle(Table& t, Dist& dist, Scratch& s, Open open) const;
   template <class Dist>

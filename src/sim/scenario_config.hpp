@@ -20,7 +20,6 @@
 //     seconds 8  profile_seconds 3
 //     think_time_s 1.0  file_mean_bytes 12000
 //     executor_threads 0    # 0 = sequential reference executor
-//     sync barrier          # barrier | channel (threaded protocol)
 //     load_bin_s 0          # per-engine load-trace bin (0 = off)
 //     seed 42
 //     link_model packet     # packet | hybrid (fluid background fast path)

@@ -13,7 +13,7 @@
 //
 //   kConfig         bad options / DML / injected work   -> fix input, retry
 //   kTopology       ChannelGraph vs engine disagreement -> fall back to the
-//                                                          dense/barrier path
+//                                                          dense all-pairs path
 //   kProtocolStall  sync protocol made no progress      -> restore + degrade
 //   kIo             checkpoint/file read/write failed   -> retry or re-path
 //   kInternal       API misuse / invariant adjacent     -> not recoverable

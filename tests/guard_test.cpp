@@ -4,8 +4,8 @@
 //
 // The headline property mirrors the checkpoint suite's: a run that *stalls*
 // (here: a test-injected frozen channel clock) and is recovered by
-// GuardedRun — restore the latest massf.ckpt.v1 checkpoint, degrade channel
-// clocks to global barriers — must still produce the exact golden trace
+// GuardedRun — restore the latest massf.ckpt.v1 checkpoint, degrade to the
+// sequential executor — must still produce the exact golden trace
 // checksum (807988445054369792) that pdes_golden_test.cpp and
 // BENCH_pdes.json pin for uninterrupted runs. Recovery is allowed to change
 // who waits on whom, never what happens.
@@ -134,7 +134,6 @@ EngineOptions guarded_options(double deadline_s, const std::string& dump) {
   EngineOptions o;
   o.lookahead = milliseconds(1);
   o.end_time = seconds(3600);
-  o.sync = SyncMode::kChannel;
   o.guard.enabled = true;
   o.guard.stall_deadline_s = deadline_s;
   o.guard.poll_interval_s = 0.02;
@@ -245,7 +244,7 @@ TEST(Watchdog, RenderDiagnosticOnIdleEngineIsWellFormed) {
 
 // ---- degradation ladder (no engine involved) --------------------------------
 
-TEST(GuardedRunLadder, WalksRetryThenBarrierThenSequential) {
+TEST(GuardedRunLadder, WalksRetryThenSequential) {
   obs::Registry registry;
   guard::GuardedRun::Options opts;
   opts.max_retries = 1;
@@ -253,32 +252,28 @@ TEST(GuardedRunLadder, WalksRetryThenBarrierThenSequential) {
 
   std::vector<guard::AttemptPlan> plans;
   const guard::GuardedRunReport report = runner.run(
-      SyncMode::kChannel, 4, [&](const guard::AttemptPlan& plan) {
+      4, [&](const guard::AttemptPlan& plan) {
         plans.push_back(plan);
         return guard::AttemptOutcome{guard::AttemptStatus::kStalled, "frozen"};
       });
 
-  // rung 0 twice (1 + max_retries), then barrier fallback, then one thread.
-  ASSERT_EQ(plans.size(), 4u);
-  EXPECT_EQ(plans[0].sync, SyncMode::kChannel);
+  // rung 0 twice (1 + max_retries), then one thread.
+  ASSERT_EQ(plans.size(), 3u);
   EXPECT_EQ(plans[0].threads, 4);
   EXPECT_EQ(plans[0].rung, 0);
   EXPECT_FALSE(plans[0].restore);
-  EXPECT_EQ(plans[1].sync, SyncMode::kChannel);
+  EXPECT_EQ(plans[1].threads, 4);
   EXPECT_EQ(plans[1].rung, 0);
   EXPECT_TRUE(plans[1].restore);
-  EXPECT_EQ(plans[2].sync, SyncMode::kBarrier);
-  EXPECT_EQ(plans[2].threads, 4);
+  EXPECT_EQ(plans[2].threads, 1);
   EXPECT_EQ(plans[2].rung, 1);
-  EXPECT_EQ(plans[3].sync, SyncMode::kBarrier);
-  EXPECT_EQ(plans[3].threads, 1);
-  EXPECT_EQ(plans[3].rung, 2);
+  EXPECT_TRUE(plans[2].restore);
 
   EXPECT_FALSE(report.completed);
-  EXPECT_EQ(report.attempts, 4);
-  EXPECT_EQ(report.stalls, 4u);
+  EXPECT_EQ(report.attempts, 3);
+  EXPECT_EQ(report.stalls, 3u);
   EXPECT_EQ(report.degraded_rung, -1);
-  EXPECT_EQ(registry.counter("guard.retries").value(), 3u);
+  EXPECT_EQ(registry.counter("guard.retries").value(), 2u);
   EXPECT_EQ(registry.gauge("guard.degraded_mode").value(), -1.0);
 }
 
@@ -286,7 +281,7 @@ TEST(GuardedRunLadder, SequentialRequestHasNoDegradationRungs) {
   guard::GuardedRun runner({}, nullptr);
   int calls = 0;
   const guard::GuardedRunReport report = runner.run(
-      SyncMode::kBarrier, 0, [&](const guard::AttemptPlan&) {
+      0, [&](const guard::AttemptPlan&) {
         ++calls;
         return guard::AttemptOutcome{guard::AttemptStatus::kFailed, "boom"};
       });
@@ -300,7 +295,7 @@ TEST(GuardedRunLadder, FirstTryCompletionIsNotARecovery) {
   obs::Registry registry;
   guard::GuardedRun runner({}, &registry);
   const guard::GuardedRunReport report = runner.run(
-      SyncMode::kChannel, 2, [](const guard::AttemptPlan&) {
+      2, [](const guard::AttemptPlan&) {
         return guard::AttemptOutcome{};
       });
   EXPECT_TRUE(report.completed);
@@ -316,7 +311,7 @@ TEST(GuardedRunLadder, FirstTryCompletionIsNotARecovery) {
 // The headline: the golden bench workload under channel clocks, one LP's
 // clock frozen at window 1000 (after the window-1000 checkpoint lands).
 // The watchdog cancels the stalled attempt; GuardedRun restores the
-// checkpoint under the barrier fallback and the run must finish with the
+// checkpoint on the sequential rung and the run must finish with the
 // same checksum, event count, and window count as an uninterrupted run.
 TEST(GuardedRun, RecoversFrozenChannelRunToGoldenChecksum) {
   const std::string ckpt_path =
@@ -330,8 +325,7 @@ TEST(GuardedRun, RecoversFrozenChannelRunToGoldenChecksum) {
   RunStats final_stats;
 
   auto attempt = [&](const guard::AttemptPlan& plan) -> guard::AttemptOutcome {
-    EngineOptions o = guarded_options(/*deadline_s=*/0.3, dump);
-    o.sync = plan.sync;
+    const EngineOptions o = guarded_options(/*deadline_s=*/0.3, dump);
     RingStack stack(o, /*num_lps=*/32, /*chain=*/64, /*hops=*/2000);
 
     ckpt::Participants parts;
@@ -357,11 +351,10 @@ TEST(GuardedRun, RecoversFrozenChannelRunToGoldenChecksum) {
       std::string error;
       ASSERT_TRUE(ck.write_file(ckpt_path, &error)) << error;
     };
-    if (plan.sync == SyncMode::kChannel) {
-      // The stall injection only exists on the channel-clock protocol; the
-      // barrier fallback runs clean — exactly the degradation contract.
-      eng->test_freeze_lp_clock(/*lp=*/3, /*after_windows=*/1000);
-    }
+    // The stall injection only exists on the channel-clock protocol; the
+    // sequential rung ignores it and runs clean — exactly the degradation
+    // contract.
+    eng->test_freeze_lp_clock(/*lp=*/3, /*after_windows=*/1000);
 
     guard::Watchdog watchdog(*eng, o.guard, &registry);
     watchdog.arm();
@@ -378,10 +371,9 @@ TEST(GuardedRun, RecoversFrozenChannelRunToGoldenChecksum) {
   };
 
   guard::GuardedRun::Options opts;
-  opts.max_retries = 0;  // straight to the barrier fallback after the stall
+  opts.max_retries = 0;  // straight to the sequential rung after the stall
   guard::GuardedRun runner(opts, &registry);
-  const guard::GuardedRunReport report =
-      runner.run(SyncMode::kChannel, 2, attempt);
+  const guard::GuardedRunReport report = runner.run(2, attempt);
 
   ASSERT_TRUE(report.completed) << report.last_error;
   EXPECT_EQ(report.attempts, 2);

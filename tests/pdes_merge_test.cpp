@@ -186,7 +186,7 @@ struct Outcome {
   std::vector<std::uint64_t> probe_lp_events;
 };
 
-enum class Exec { kSequential, kBarrier, kChannel };
+enum class Exec { kSequential, kChannel };
 
 /// Runs the mesh; `threads` is ignored for kSequential. A non-null
 /// `declared` becomes the engine's ChannelGraph; a non-null `sends`
@@ -197,7 +197,6 @@ Outcome run_mesh(Exec exec, std::int32_t threads, bool probed,
   EngineOptions o;
   o.lookahead = milliseconds(1);
   o.end_time = seconds(1);
-  o.sync = exec == Exec::kBarrier ? SyncMode::kBarrier : SyncMode::kChannel;
   Engine engine(o);
   std::vector<MeshLp*> lps;
   for (std::int32_t i = 0; i < kLps; ++i) {
@@ -301,15 +300,10 @@ TEST_P(MergeDifferentialExec, MatchesSequentialOnDeclaredChannels) {
 
 INSTANTIATE_TEST_SUITE_P(
     Executors, MergeDifferentialExec,
-    ::testing::Values(std::make_tuple(Exec::kBarrier, 2),
-                      std::make_tuple(Exec::kBarrier, 4),
-                      std::make_tuple(Exec::kChannel, 2),
+    ::testing::Values(std::make_tuple(Exec::kChannel, 2),
                       std::make_tuple(Exec::kChannel, 4)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param) == Exec::kBarrier
-                             ? "Barrier"
-                             : "Channel") +
-             std::to_string(std::get<1>(info.param));
+      return "Channel" + std::to_string(std::get<1>(info.param));
     });
 
 }  // namespace
