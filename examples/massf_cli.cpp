@@ -32,7 +32,6 @@
 // run and retries down the degradation ladder — restoring the latest
 // checkpoint when --ckpt-every/--ckpt-path are armed.
 #include <cstdio>
-#include <fstream>
 #include <memory>
 
 #include "fault/injector.hpp"
@@ -42,14 +41,6 @@
 #include "sim/scenario_config.hpp"
 #include "util/error.hpp"
 #include "util/flags.hpp"
-
-namespace {
-
-bool file_exists(const std::string& path) {
-  return std::ifstream(path).good();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace massf;
@@ -146,34 +137,10 @@ int main(int argc, char** argv) {
       // plan's configuration, resuming from the newest checkpoint once one
       // exists. Recovery replays bit-identical state, so a recovered run
       // reports the same results as an uninterrupted one.
-      bool have_result = false;
-      guard::GuardedRun::Options gro;
-      gro.max_retries = spec.guard_retries;
-      guard::GuardedRun runner(gro, &guard_registry);
-      const auto report = runner.run(
-          opts.executor_threads,
-          [&](const guard::AttemptPlan& plan) -> guard::AttemptOutcome {
-            scenario.set_executor_threads(plan.threads);
-            CkptOptions attempt_ckpt = opts.ckpt;
-            if (plan.restore && !attempt_ckpt.path.empty() &&
-                file_exists(attempt_ckpt.path)) {
-              attempt_ckpt.restore_path = attempt_ckpt.path;
-            }
-            scenario.set_ckpt(attempt_ckpt);
-            try {
-              r = scenario.run(kind);
-            } catch (const EngineError& e) {
-              if (e.category() == ErrorCategory::kInternal) throw;
-              return {guard::AttemptStatus::kFailed, e.what()};
-            }
-            if (scenario.last_run_cancelled()) {
-              return {guard::AttemptStatus::kStalled,
-                      "watchdog cancelled the run"};
-            }
-            have_result = true;
-            return {guard::AttemptStatus::kCompleted, ""};
-          });
-      if (!have_result) {
+      const auto report =
+          run_guarded(scenario, kind, opts.executor_threads, opts.ckpt,
+                      spec.guard_retries, &guard_registry, &r);
+      if (!report.completed) {
         std::fprintf(stderr, "guarded run failed permanently: %s\n",
                      report.last_error.c_str());
         return 1;

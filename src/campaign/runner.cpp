@@ -43,10 +43,6 @@ double elapsed_s(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
-bool file_exists(const std::string& path) {
-  return std::ifstream(path).good();
-}
-
 std::string sanitize_error(std::string s) {
   for (char& c : s) {
     if (c == '\n' || c == '\t' || c == '\r') c = ' ';
@@ -78,34 +74,10 @@ void execute_scenario(const CampaignRun& run, obs::Registry* registry,
   const MappingKind kind = s.mappings.front();
   ExperimentResult r;
   if (opts.guard.enabled && opts.guard.on_stall == guard::OnStall::kCancel) {
-    bool have_result = false;
-    guard::GuardedRun::Options gro;
-    gro.max_retries = s.guard_retries;
-    guard::GuardedRun runner(gro, registry);
-    const auto report = runner.run(
-        opts.executor_threads,
-        [&](const guard::AttemptPlan& plan) -> guard::AttemptOutcome {
-          scenario.set_executor_threads(plan.threads);
-          CkptOptions attempt_ckpt = opts.ckpt;
-          if (plan.restore && !attempt_ckpt.path.empty() &&
-              file_exists(attempt_ckpt.path)) {
-            attempt_ckpt.restore_path = attempt_ckpt.path;
-          }
-          scenario.set_ckpt(attempt_ckpt);
-          try {
-            r = scenario.run(kind);
-          } catch (const EngineError& e) {
-            if (e.category() == ErrorCategory::kInternal) throw;
-            return {guard::AttemptStatus::kFailed, e.what()};
-          }
-          if (scenario.last_run_cancelled()) {
-            return {guard::AttemptStatus::kStalled,
-                    "watchdog cancelled the run"};
-          }
-          have_result = true;
-          return {guard::AttemptStatus::kCompleted, ""};
-        });
-    if (!have_result) {
+    const auto report =
+        run_guarded(scenario, kind, opts.executor_threads, opts.ckpt,
+                    s.guard_retries, registry, &r);
+    if (!report.completed) {
       rec->error = "guarded run failed permanently: " + report.last_error;
       return;
     }

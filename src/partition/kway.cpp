@@ -43,18 +43,28 @@ void recurse(const Graph& g, std::span<const VertexId> vertices,
     }
     return;
   }
-  const Graph sub = extract_subgraph(g, vertices);
   const std::int32_t k0 = k / 2;
   const std::int32_t k1 = k - k0;
-  const auto target0 = static_cast<Weight>(
-      static_cast<double>(sub.total_vertex_weight()) * k0 / k);
-
-  std::vector<VertexId> half =
-      multilevel_bisect(sub, target0, opts, tolerance, rng);
-
   std::vector<VertexId> left, right;
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    (half[i] == 0 ? left : right).push_back(vertices[i]);
+  {
+    // The vertex lists are ascending subsequences of 0..n-1, so a full one
+    // is the top level, and the subgraph it induces is g itself (the
+    // builder keeps edges sorted, so adjacency order matches too): bisect
+    // g in place instead of copying it. This level's subgraph and bisection
+    // are freed before the recursion, so only one level's working set is
+    // alive at a time.
+    Graph sub;
+    const bool whole =
+        vertices.size() == static_cast<std::size_t>(g.num_vertices());
+    if (!whole) sub = extract_subgraph(g, vertices);
+    const Graph& level = whole ? g : sub;
+    const auto target0 = static_cast<Weight>(
+        static_cast<double>(level.total_vertex_weight()) * k0 / k);
+    const std::vector<VertexId> half =
+        multilevel_bisect(level, target0, opts, tolerance, rng);
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+      (half[i] == 0 ? left : right).push_back(vertices[i]);
+    }
   }
   recurse(g, left, k0, first_part, tolerance, opts, rng, out);
   recurse(g, right, k1, first_part + k0, tolerance, opts, rng, out);

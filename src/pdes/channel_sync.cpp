@@ -44,6 +44,7 @@
 #include "pdes/engine.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
+#include "util/host.hpp"
 #include "util/warn.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -150,11 +151,11 @@ void cpu_relax() {
 
 /// Busy-wait budget for `parties` synchronizing threads. Spinning only
 /// pays when every party plus the main thread can run at once; a host
-/// reporting fewer cores — or 0, hardware_concurrency()'s "unknown" value
-/// — is treated as oversubscribed and yields immediately (spinning there
-/// only delays whichever thread everyone is waiting for).
+/// (or affinity mask) with fewer CPUs — or 0, host_cpus()'s "unknown"
+/// value — is treated as oversubscribed and yields immediately (spinning
+/// there only delays whichever thread everyone is waiting for).
 std::int32_t spin_budget(std::int32_t parties) {
-  const unsigned hc = std::thread::hardware_concurrency();
+  const unsigned hc = host_cpus();
   if (hc == 0) return 0;  // unknown host: assume oversubscribed
   return hc >= static_cast<unsigned>(parties) + 1 ? 512 : 0;
 }
@@ -173,7 +174,7 @@ RunStats Engine::run_threaded(std::int32_t num_threads) {
          std::to_string(num_threads) +
          " (a thread with no claimable LP would only spin at the gates)");
   }
-  warn_unknown_host_concurrency(std::thread::hardware_concurrency());
+  warn_unknown_host_concurrency(host_cpus());
   if (num_threads == 1) {
     // One thread has nobody to synchronize with: run the sequential window
     // loop instead. Only the reported thread count differs from run() —

@@ -9,6 +9,7 @@
 
 #include "util/check.hpp"
 #include "util/error.hpp"
+#include "util/host.hpp"
 
 namespace massf {
 namespace {
@@ -201,8 +202,7 @@ void OspfDomain::add_destinations(const Network& net,
   if (fresh.empty()) return;
 
   if (workers == 0) {
-    const std::size_t cpus =
-        std::max(1u, std::thread::hardware_concurrency());
+    const std::size_t cpus = std::max(1u, host_cpus());
     workers = std::min(cpus, fresh.size() / kMinTreesPerWorker);
   }
   workers = std::clamp<std::size_t>(workers, 1, fresh.size());

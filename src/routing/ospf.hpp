@@ -48,8 +48,8 @@ class OspfDomain {
   /// add_destination for every router of `dests` in order (duplicates and
   /// registered ones are skipped): table slots are assigned serially, in
   /// first-appearance order, and the new trees are then computed on
-  /// `workers` threads, each with its own scratch. 0 picks
-  /// hardware_concurrency(), capped so every worker gets at least
+  /// `workers` threads, each with its own scratch. 0 picks host_cpus()
+  /// (util/host.hpp), capped so every worker gets at least
   /// kMinTreesPerWorker trees. The tables equal those of repeated
   /// add_destination calls; all threads are joined before returning.
   void add_destinations(const Network& net, std::span<const NodeId> dests,

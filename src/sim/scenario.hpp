@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cluster/metrics.hpp"
+#include "guard/guarded_run.hpp"
 #include "guard/options.hpp"
 #include "lb/mapping.hpp"
 #include "lb/profile.hpp"
@@ -203,5 +204,18 @@ class Scenario {
   std::vector<NodeId> clients_, servers_, app_hosts_, bg_sources_;
   std::optional<TrafficProfile> profile_;
 };
+
+/// The supervised form of scenario.run(kind): GuardedRun's recovery ladder
+/// (guard/guarded_run.hpp) from `threads`. Each attempt re-runs the
+/// scenario on the plan's thread count and, once an earlier attempt has
+/// left a checkpoint at `ckpt.path`, resumes from it. A recoverable
+/// EngineError or a watchdog cancel ends an attempt; an internal error
+/// propagates. `*result` is written when an attempt completes
+/// (report.completed).
+guard::GuardedRunReport run_guarded(Scenario& scenario, MappingKind kind,
+                                    std::int32_t threads,
+                                    const CkptOptions& ckpt, int max_retries,
+                                    obs::Registry* registry,
+                                    ExperimentResult* result);
 
 }  // namespace massf

@@ -49,8 +49,8 @@ void warn(ErrorCategory category, std::string message) {
   WarningLog::instance().emit(category, std::move(message));
 }
 
-bool warn_unknown_host_concurrency(unsigned hardware_concurrency) {
-  if (hardware_concurrency != 0) return false;
+bool warn_unknown_host_concurrency(unsigned cpus) {
+  if (cpus != 0) return false;
   static std::atomic<bool> warned{false};
   if (warned.exchange(true, std::memory_order_relaxed)) return false;
   warn(ErrorCategory::kConfig,

@@ -48,11 +48,12 @@ class WarningLog {
 /// Convenience: WarningLog::instance().emit(...).
 void warn(ErrorCategory category, std::string message);
 
-/// The hardware_concurrency()==0 fallback, surfaced: when the host's
-/// concurrency is unreportable the spin budgets collapse to zero and every
-/// channel-sync stall yields at once (pdes/channel_sync.cpp). Emits a
-/// config-category warning once per process and returns true on the call
-/// that emitted it; later calls (or hc > 0) return false.
-bool warn_unknown_host_concurrency(unsigned hardware_concurrency);
+/// The host_cpus()==0 fallback (util/host.hpp), surfaced: when neither the
+/// affinity mask nor hardware_concurrency() reports the host's parallelism
+/// the spin budgets collapse to zero and every channel-sync stall yields
+/// at once (pdes/channel_sync.cpp). Emits a config-category warning once
+/// per process and returns true on the call that emitted it; later calls
+/// (or cpus > 0) return false.
+bool warn_unknown_host_concurrency(unsigned cpus);
 
 }  // namespace massf

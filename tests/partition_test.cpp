@@ -216,6 +216,43 @@ TEST(Partition, DeterministicForSeed) {
   EXPECT_EQ(a.edge_cut, b.edge_cut);
 }
 
+// Assignments pinned from an earlier build of the partitioner (FNV-1a over
+// the part ids): any change to what partition_graph computes — the order it
+// visits vertices, the graphs it bisects, its RNG draws — shows up here,
+// while a memory-only change (bisecting the top level in place) must not.
+TEST(Partition, PinnedAssignments) {
+  struct Pinned {
+    VertexId n;
+    std::int32_t chords;
+    std::uint64_t seed;
+    Weight max_vweight;
+    std::int32_t parts;
+    Weight edge_cut;
+    std::uint64_t hash;
+  };
+  const Pinned pinned[] = {
+      {300, 150, 11, 1, 2, 158, 0xc9268697f653a7efull},
+      {500, 400, 12, 20, 3, 733, 0xd6da173bc98a4b49ull},
+      {1200, 2000, 13, 50, 8, 5661, 0x8e3d5c9e31805b19ull},
+      {2000, 4000, 14, 100, 24, 13979, 0x7103d01d92ae0420ull},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(::testing::Message() << "n " << p.n << " k " << p.parts);
+    const Graph g = random_graph(p.n, p.chords, p.seed, p.max_vweight);
+    PartitionOptions opts;
+    opts.num_parts = p.parts;
+    opts.seed = p.seed;
+    const PartitionResult r = partition_graph(g, opts);
+    std::uint64_t hash = 1469598103934640037ull;
+    for (const VertexId part : r.part) {
+      hash ^= static_cast<std::uint64_t>(part);
+      hash *= 1099511628211ull;
+    }
+    EXPECT_EQ(r.edge_cut, p.edge_cut);
+    EXPECT_EQ(hash, p.hash);
+  }
+}
+
 TEST(Partition, SinglePartTrivial) {
   const Graph g = random_graph(50, 20, 8);
   PartitionOptions opts;

@@ -4,7 +4,12 @@
 #include <cstdio>
 #include <set>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "util/flags.hpp"
+#include "util/host.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
 #include "util/stats.hpp"
@@ -242,6 +247,27 @@ TEST(Flags, ParsesForms) {
   EXPECT_DOUBLE_EQ(f.get_double("alpha", 0), 3.0);
   EXPECT_TRUE(f.has("alpha"));
   EXPECT_FALSE(f.has("missing"));
+}
+
+TEST(HostCpus, CountsTheAffinityMask) {
+  EXPECT_GE(host_cpus(), 1u);
+#if defined(__linux__)
+  // Narrow this thread to one CPU it may already use: hardware_concurrency()
+  // would still report the whole machine.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const unsigned narrowed = host_cpus();
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(narrowed, 1u);
+  EXPECT_EQ(host_cpus(), static_cast<unsigned>(CPU_COUNT(&saved)));
+#endif
 }
 
 }  // namespace
