@@ -3,8 +3,8 @@
 
 Schemas understood (dispatched on the current report's "schema" field):
 
-  massf.bench_pdes.v2 — compare a fresh `bench_pdes --json` run against the
-  committed BENCH_pdes.json baseline. Checks:
+  massf.bench_pdes.v2 — compare a fresh `bench_pdes --out current.json`
+  run against the committed BENCH_pdes.json baseline. Checks:
     * Determinism (exact): every executor entry must report the pinned
       golden checksum plus the exact event and window counts. Any drift
       means the event-ordering contract changed — see tests/regen_golden.sh
@@ -38,7 +38,7 @@ Schemas understood (dispatched on the current report's "schema" field):
       not by protocol cost.
 
   massf.bench_rebalance.v1 — self-contained gate on a
-  `bench_rebalance --json` run (no baseline file needed):
+  `bench_rebalance --out` run (no baseline file needed):
     * sequential/threaded full-signature equality must hold with
       rebalancing enabled;
     * the rebalanced run must beat the static mapping by at least
@@ -418,7 +418,7 @@ def main():
 
     current = load_json(
         args.current,
-        "run the bench with --out/--json first (see the module docstring)")
+        "run the bench with --out first (see the module docstring)")
     schema = current.get("schema")
 
     if schema == "massf.bench_rebalance.v1":

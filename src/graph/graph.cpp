@@ -45,29 +45,48 @@ void GraphBuilder::add_edge(VertexId u, VertexId v, Weight w) {
   edges_.push_back({u, v, w});
 }
 
+void GraphBuilder::reserve_edges(std::size_t count) { edges_.reserve(count); }
+
 Graph GraphBuilder::build() {
-  // Merge duplicate edges.
-  std::sort(edges_.begin(), edges_.end(), [](const RawEdge& a, const RawEdge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-  std::vector<RawEdge> merged;
-  merged.reserve(edges_.size());
+  // Sort by (u, v) with two stable counting passes, by v and then by u,
+  // so duplicate edges sit together; their weights merge by summing, in
+  // any order. Linear in edges plus vertices: the partitioner's coarsening
+  // builds many small graphs.
+  {
+    std::vector<RawEdge> by_v(edges_.size());
+    std::vector<std::int32_t> start(static_cast<std::size_t>(nv_) + 1);
+    const auto counting_pass = [&start](const std::vector<RawEdge>& from,
+                                        std::vector<RawEdge>& to, auto key) {
+      std::fill(start.begin(), start.end(), 0);
+      for (const RawEdge& e : from) ++start[key(e) + 1];
+      for (std::size_t i = 1; i < start.size(); ++i) start[i] += start[i - 1];
+      for (const RawEdge& e : from) to[start[key(e)]++] = e;
+    };
+    counting_pass(edges_, by_v, [](const RawEdge& e) {
+      return static_cast<std::size_t>(e.v);
+    });
+    counting_pass(by_v, edges_, [](const RawEdge& e) {
+      return static_cast<std::size_t>(e.u);
+    });
+  }
+  std::size_t kept = 0;
   for (const RawEdge& e : edges_) {
-    if (!merged.empty() && merged.back().u == e.u && merged.back().v == e.v) {
-      merged.back().w += e.w;
+    if (kept > 0 && edges_[kept - 1].u == e.u && edges_[kept - 1].v == e.v) {
+      edges_[kept - 1].w += e.w;
     } else {
-      merged.push_back(e);
+      edges_[kept++] = e;
     }
   }
+  edges_.resize(kept);
 
   Graph g;
   g.vwgt_ = std::move(vwgt_);
   g.total_vwgt_ = std::accumulate(g.vwgt_.begin(), g.vwgt_.end(), Weight{0});
-  g.num_edges_ = static_cast<EdgeId>(merged.size());
-  g.edge_u_.reserve(merged.size());
-  g.edge_v_.reserve(merged.size());
-  g.edge_w_.reserve(merged.size());
-  for (const RawEdge& e : merged) {
+  g.num_edges_ = static_cast<EdgeId>(edges_.size());
+  g.edge_u_.reserve(edges_.size());
+  g.edge_v_.reserve(edges_.size());
+  g.edge_w_.reserve(edges_.size());
+  for (const RawEdge& e : edges_) {
     g.edge_u_.push_back(e.u);
     g.edge_v_.push_back(e.v);
     g.edge_w_.push_back(e.w);
@@ -75,13 +94,13 @@ Graph GraphBuilder::build() {
 
   // CSR over both arc directions.
   g.xadj_.assign(static_cast<std::size_t>(nv_) + 1, 0);
-  for (const RawEdge& e : merged) {
+  for (const RawEdge& e : edges_) {
     ++g.xadj_[static_cast<std::size_t>(e.u) + 1];
     ++g.xadj_[static_cast<std::size_t>(e.v) + 1];
   }
   for (std::size_t i = 1; i < g.xadj_.size(); ++i) g.xadj_[i] += g.xadj_[i - 1];
 
-  const std::size_t narcs = merged.size() * 2;
+  const std::size_t narcs = edges_.size() * 2;
   g.adjncy_.resize(narcs);
   g.adjwgt_.resize(narcs);
   g.arc_edge_.resize(narcs);
@@ -120,53 +139,38 @@ Graph contract(const Graph& g, std::span<const VertexId> cluster,
     builder.set_vertex_weight(c, cw[static_cast<std::size_t>(c)]);
   }
 
-  // Track, per contracted (cu, cv) pair, the representative original edge:
-  // the one with the minimum auxiliary value (e.g. smallest link latency),
-  // so the achieved-MLL of the contracted partition can be traced back.
-  struct PairInfo {
-    EdgeId rep;
-    std::int64_t aux;
-  };
-  std::vector<std::pair<std::uint64_t, PairInfo>> pairs;
+  builder.reserve_edges(static_cast<std::size_t>(g.num_edges()));
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    VertexId cu = cluster[static_cast<std::size_t>(g.edge_u(e))];
-    VertexId cv = cluster[static_cast<std::size_t>(g.edge_v(e))];
-    if (cu == cv) continue;
-    if (cu > cv) std::swap(cu, cv);
-    builder.add_edge(cu, cv, g.edge_weight(e));
-    if (edge_origin != nullptr) {
-      const std::int64_t aux =
-          edge_aux.empty() ? 0 : edge_aux[static_cast<std::size_t>(e)];
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cu)) << 32) |
-          static_cast<std::uint32_t>(cv);
-      pairs.push_back({key, {e, aux}});
-    }
+    builder.add_edge(cluster[static_cast<std::size_t>(g.edge_u(e))],
+                     cluster[static_cast<std::size_t>(g.edge_v(e))],
+                     g.edge_weight(e));
   }
-
   Graph out = builder.build();
 
   if (edge_origin != nullptr) {
-    std::sort(pairs.begin(), pairs.end(),
-              [](const auto& a, const auto& b) {
-                return a.first != b.first ? a.first < b.first
-                                          : a.second.aux < b.second.aux;
-              });
+    // Per contracted edge, the representative original edge: the one with
+    // the minimum auxiliary value (e.g. smallest link latency), lowest id on
+    // a tie, so the achieved MLL of the contracted partition can be traced
+    // back. build() leaves every adjacency list sorted by neighbor id (edges
+    // are numbered in (u, v) order), so the contracted edge of a pair is
+    // found by binary search.
     edge_origin->assign(static_cast<std::size_t>(out.num_edges()),
                         EdgeId{-1});
-    // Contracted edges are sorted by (u, v) in build(); pairs are sorted by
-    // the same key, so walk them in lockstep taking the first (min-aux)
-    // entry of each group.
-    std::size_t p = 0;
-    for (EdgeId e = 0; e < out.num_edges(); ++e) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(
-               static_cast<std::uint32_t>(out.edge_u(e)))
-           << 32) |
-          static_cast<std::uint32_t>(out.edge_v(e));
-      while (p < pairs.size() && pairs[p].first < key) ++p;
-      MASSF_CHECK(p < pairs.size() && pairs[p].first == key);
-      (*edge_origin)[static_cast<std::size_t>(e)] = pairs[p].second.rep;
+    const auto aux = [&](EdgeId e) {
+      return edge_aux.empty() ? std::int64_t{0}
+                              : edge_aux[static_cast<std::size_t>(e)];
+    };
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const VertexId cu = cluster[static_cast<std::size_t>(g.edge_u(e))];
+      const VertexId cv = cluster[static_cast<std::size_t>(g.edge_v(e))];
+      if (cu == cv) continue;
+      const auto nbrs = out.neighbors(cu);
+      const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), cv);
+      MASSF_CHECK(it != nbrs.end() && *it == cv);
+      const EdgeId ce = out.arc_edge_ids(cu)[static_cast<std::size_t>(
+          it - nbrs.begin())];
+      EdgeId& rep = (*edge_origin)[static_cast<std::size_t>(ce)];
+      if (rep < 0 || aux(e) < aux(rep)) rep = e;
     }
   }
   return out;

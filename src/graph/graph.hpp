@@ -92,6 +92,9 @@ class GraphBuilder {
   /// summed; self loops are ignored.
   void add_edge(VertexId u, VertexId v, Weight w = 1);
 
+  /// Reserves room for `count` add_edge calls.
+  void reserve_edges(std::size_t count);
+
   Graph build();
 
  private:
@@ -107,10 +110,9 @@ class GraphBuilder {
 /// Builds the contracted ("dumped" in the paper's terms) graph: vertex i of
 /// the result is cluster i, with vertex weight the sum of member weights and
 /// inter-cluster edges merged with weights summed. `cluster[v]` must be in
-/// [0, num_clusters). Returns the contracted graph; `edge_origin`, if
-/// non-null, receives for each contracted edge one representative original
-/// edge id with the minimum... (see .cpp) — representative chosen as the
-/// original edge of minimum auxiliary value via `edge_aux` when provided.
+/// [0, num_clusters). `edge_origin`, if non-null, receives for each
+/// contracted edge one representative original edge id: the one of minimum
+/// `edge_aux` value (lowest id on a tie).
 Graph contract(const Graph& g, std::span<const VertexId> cluster,
                VertexId num_clusters,
                std::span<const std::int64_t> edge_aux = {},

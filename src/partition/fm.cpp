@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <tuple>
 
 #include "util/check.hpp"
@@ -28,11 +27,11 @@ Weight fm_refine_bisection(const Graph& g, std::span<VertexId> part,
 
   const Weight total = g.total_vertex_weight();
   const Weight target1 = total - opts.target0;
-  const auto max_w = [&](int side) {
-    const Weight target = side == 0 ? opts.target0 : target1;
-    return static_cast<Weight>(
-        std::ceil(static_cast<double>(target) * opts.tolerance));
-  };
+  const Weight max_w[2] = {
+      static_cast<Weight>(
+          std::ceil(static_cast<double>(opts.target0) * opts.tolerance)),
+      static_cast<Weight>(
+          std::ceil(static_cast<double>(target1) * opts.tolerance))};
 
   // Internal/external incident weights per vertex; gain = ext - int.
   std::vector<Weight> ext(static_cast<std::size_t>(n), 0);
@@ -56,13 +55,23 @@ Weight fm_refine_bisection(const Graph& g, std::span<VertexId> part,
   cut /= 2;
 
   const auto violation = [&]() {
-    return std::max<Weight>(0, w[0] - max_w(0)) +
-           std::max<Weight>(0, w[1] - max_w(1));
+    return std::max<Weight>(0, w[0] - max_w[0]) +
+           std::max<Weight>(0, w[1] - max_w[1]);
   };
 
   std::vector<char> locked(static_cast<std::size_t>(n));
   std::vector<VertexId> moved;
   moved.reserve(static_cast<std::size_t>(n));
+  // Max-heap of move candidates, kept across passes to reuse its storage.
+  // Candidates are totally ordered (equal ones are identical), so the pop
+  // order does not depend on how the heap was built: each pass heapifies
+  // its initial candidates at once.
+  std::vector<Candidate> heap;
+  heap.reserve(static_cast<std::size_t>(n));
+  const auto push = [&heap](Candidate c) {
+    heap.push_back(c);
+    std::push_heap(heap.begin(), heap.end());
+  };
 
   if (!opts.pinned.empty()) {
     MASSF_CHECK(static_cast<VertexId>(opts.pinned.size()) == n);
@@ -85,13 +94,14 @@ Weight fm_refine_bisection(const Graph& g, std::span<VertexId> part,
     }
     moved.clear();
 
-    std::priority_queue<Candidate> heap;
+    heap.clear();
     for (VertexId v = 0; v < n; ++v) {
       if (locked[static_cast<std::size_t>(v)]) continue;
-      heap.push({ext[static_cast<std::size_t>(v)] -
-                     inter[static_cast<std::size_t>(v)],
-                 v});
+      heap.push_back({ext[static_cast<std::size_t>(v)] -
+                          inter[static_cast<std::size_t>(v)],
+                      v});
     }
+    std::make_heap(heap.begin(), heap.end());
 
     const Weight start_cut = cut;
     Weight best_cut = cut;
@@ -102,8 +112,9 @@ Weight fm_refine_bisection(const Graph& g, std::span<VertexId> part,
         std::max<std::size_t>(64, static_cast<std::size_t>(n) / 8);
 
     while (!heap.empty() && since_best < stall_limit) {
-      const Candidate c = heap.top();
-      heap.pop();
+      std::pop_heap(heap.begin(), heap.end());
+      const Candidate c = heap.back();
+      heap.pop_back();
       const auto vi = static_cast<std::size_t>(c.v);
       if (locked[vi]) continue;
       const Weight cur_gain = ext[vi] - inter[vi];
@@ -114,8 +125,8 @@ Weight fm_refine_bisection(const Graph& g, std::span<VertexId> part,
       const Weight wv = g.vertex_weight(c.v);
       // A move is admissible if the destination stays within bound, or if
       // the source is currently over its bound (rebalancing move).
-      const bool dst_ok = w[dst] + wv <= max_w(dst);
-      const bool src_over = w[src] > max_w(src);
+      const bool dst_ok = w[dst] + wv <= max_w[dst];
+      const bool src_over = w[src] > max_w[src];
       if (!dst_ok && !src_over) continue;
       if (w[src] - wv <= 0 && n > 1) continue;  // never empty a part
       const bool returning = bounded && away[vi] != 0;
@@ -143,7 +154,7 @@ Weight fm_refine_bisection(const Graph& g, std::span<VertexId> part,
           ext[ui] += ws[i];
           inter[ui] -= ws[i];
         }
-        if (!locked[ui]) heap.push({ext[ui] - inter[ui], nbrs[i]});
+        if (!locked[ui]) push({ext[ui] - inter[ui], nbrs[i]});
       }
       moved.push_back(c.v);
 

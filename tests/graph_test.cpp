@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 
 #include "graph/algorithms.hpp"
@@ -51,6 +52,36 @@ TEST(GraphBuilder, VertexWeights) {
   const Graph g = b.build();
   EXPECT_EQ(g.vertex_weight(0), 10);
   EXPECT_EQ(g.total_vertex_weight(), 30);
+}
+
+// Edges are numbered in (u, v) order with duplicates merged, and every
+// adjacency list is sorted by neighbor id (contract's edge_origin lookup
+// relies on it), whatever order the edges were added in.
+TEST(GraphBuilder, EdgesInPairOrderAdjacencySorted) {
+  Rng rng(11);
+  const VertexId n = 40;
+  GraphBuilder b(n);
+  std::map<std::pair<VertexId, VertexId>, Weight> want;
+  for (int i = 0; i < 400; ++i) {
+    const auto u = static_cast<VertexId>(rng.uniform(n));
+    const auto v = static_cast<VertexId>(rng.uniform(n));
+    const auto w = static_cast<Weight>(1 + rng.uniform(9));
+    b.add_edge(u, v, w);
+    if (u != v) want[{std::min(u, v), std::max(u, v)}] += w;
+  }
+  const Graph g = b.build();
+  ASSERT_EQ(g.num_edges(), static_cast<EdgeId>(want.size()));
+  EdgeId e = 0;
+  for (const auto& [uv, w] : want) {
+    EXPECT_EQ(g.edge_u(e), uv.first);
+    EXPECT_EQ(g.edge_v(e), uv.second);
+    EXPECT_EQ(g.edge_weight(e), w);
+    ++e;
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    const auto nbrs = g.neighbors(v);
+    EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end())) << "vertex " << v;
+  }
 }
 
 TEST(Graph, CsrSymmetric) {
@@ -155,6 +186,31 @@ TEST(Contract, EdgeOriginPicksMinAux) {
   ASSERT_EQ(c.num_edges(), 1);
   ASSERT_EQ(origin.size(), 1u);
   EXPECT_EQ(aux[static_cast<std::size_t>(origin[0])], 10);
+}
+
+TEST(Contract, EdgeOriginTieTakesLowestId) {
+  // Square 0-1-2-3-0 with {0,1} and {2,3} contracted: edges 1-2 and 0-3
+  // both cross, with equal aux.
+  GraphBuilder b(4);
+  b.add_edge(0, 1, 1);
+  b.add_edge(1, 2, 1);
+  b.add_edge(2, 3, 1);
+  b.add_edge(3, 0, 1);
+  const Graph g = b.build();
+  const std::vector<std::int64_t> aux(static_cast<std::size_t>(g.num_edges()),
+                                      7);
+  const std::vector<VertexId> cluster{0, 0, 1, 1};
+  std::vector<EdgeId> origin;
+  const Graph c = contract(g, cluster, 2, aux, &origin);
+  ASSERT_EQ(origin.size(), 1u);
+  EdgeId lowest = g.num_edges();
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (cluster[static_cast<std::size_t>(g.edge_u(e))] !=
+        cluster[static_cast<std::size_t>(g.edge_v(e))]) {
+      lowest = std::min(lowest, e);
+    }
+  }
+  EXPECT_EQ(origin[0], lowest);
 }
 
 TEST(UnionFind, BasicMerge) {
